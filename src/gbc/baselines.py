@@ -116,27 +116,9 @@ def abc_rejection(
     Zero acceptances is a valid outcome: the result is empty and carries a
     diagnostic string instead of raising.
     """
-    thetas, dists, scale = _abc_pool(
-        simulator, prior, y_obs, cfg, budget, rng, block_size
-    )
-    keep = np.flatnonzero(dists <= cfg.epsilon)
-    diagnostic = ""
-    if keep.size == 0:
-        diagnostic = (
-            f"0 of {budget} proposals accepted at epsilon={cfg.epsilon}; "
-            f"smallest observed distance was {float(dists.min()):.6g}"
-        )
-    return AbcResult(
-        thetas=thetas[keep],
-        n_proposals=budget,
-        n_accepted=int(keep.size),
-        acceptance_rate=keep.size / budget,
-        epsilon=cfg.epsilon,
-        summary_scale=scale,
-        accepted_index=keep,
-        block_size=block_size,
-        diagnostic=diagnostic,
-    )
+    return abc_epsilon_sweep(
+        simulator, prior, y_obs, cfg, [cfg.epsilon], budget, rng, block_size
+    )[0]
 
 
 def abc_epsilon_sweep(
@@ -331,6 +313,23 @@ def fiducial_rejection(
         n_accepted=len(accepted),
         n_skipped=n_skipped,
         acceptance_rate=len(accepted) / budget if budget else 0.0,
+    )
+
+
+def fiducial_location(y0, epsilon, budget, rng) -> FiducialResult:
+    """Fiducial draws for the unit-variance location model y = theta + u,
+    u ~ N(0, 1), observed at the scalar y0; the fiducial law is N(y0, 1).
+
+    theta is searched within y0 +- 12, twelve noise sds.
+    """
+    return fiducial_rejection(
+        G=lambda u, th: np.array([th[0] + u]),
+        sample_u=lambda gen: float(gen.normal()),
+        y_obs=np.array([y0]),
+        epsilon=epsilon,
+        budget=budget,
+        rng=rng,
+        theta_bounds=[(y0 - 12.0, y0 + 12.0)],
     )
 
 

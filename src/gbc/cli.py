@@ -28,7 +28,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import AbcConfig, abc_epsilon_sweep, fiducial_rejection
+from .baselines import (
+    AbcConfig,
+    abc_epsilon_sweep,
+    fiducial_location,
+    fiducial_rejection,
+)
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import RunConfig, prior_from_config, simulator_params
 from .errors import ConfigError, DataError, GbcError
@@ -54,7 +59,7 @@ from .pipeline import (
     write_csv,
 )
 from .rng import RngStream
-from .summaries import SummaryMap, apply_summary
+from .summaries import mean_summary
 
 GRADCHECK_TOLERANCE = 1e-5
 
@@ -217,12 +222,7 @@ def cmd_abc(args) -> int:
     simulator = make_simulator(cfg.get_str("run", "simulator"), simulator_params(cfg))
     kind = cfg.get_str("abc", "summary", "mean")
     if kind == "mean":
-        n = simulator.y_dim
-        summary = SummaryMap(
-            kind="linear",
-            matrix=np.full((1, n), 1.0 / n),
-            intercept=np.zeros(1),
-        )
+        summary = mean_summary(simulator.y_dim)
     elif kind == "identity":
         summary = None
     else:
@@ -270,21 +270,11 @@ def cmd_fiducial(args) -> int:
         raise ConfigError("fiducial needs --y-obs FILE")
     y = _read_vector(args.y_obs)
     model = cfg.get_str("fiducial", "model", "location")
-    eps_raw = cfg.get_str("fiducial", "epsilon", "inf")
-    epsilon = math.inf if eps_raw.strip().lower() in ("inf", "infinity") else float(eps_raw)
+    epsilon = cfg.get_float("fiducial", "epsilon", "inf")
     budget = cfg.get_int("fiducial", "budget", 10_000)
     rng = RngStream(seed).child("fiducial")
     if model == "location":
-        y0 = float(y[0])
-        result = fiducial_rejection(
-            G=lambda u, th: np.array([th[0] + u]),
-            sample_u=lambda gen: float(gen.normal()),
-            y_obs=np.array([y0]),
-            epsilon=epsilon,
-            budget=budget,
-            rng=rng,
-            theta_bounds=[(y0 - 12.0, y0 + 12.0)],
-        )
+        result = fiducial_location(float(y[0]), epsilon, budget, rng)
         header = ["theta_1"]
     elif model == "normal-meanvar":
         if y.size < 2:
@@ -353,7 +343,7 @@ def cmd_benchmark_epidemic(args) -> int:
     cfg = _load_config(args)
     seed = run_seed(cfg, args.seed)
     out = _out_dir(args, cfg)
-    result = benchmark_epidemic(cfg, seed, threads=_resolve_threads(args, cfg))
+    result = benchmark_epidemic(cfg, seed)
     for h in result.holdout_ids:
         header, rows = holdout_csv_rows(result.holdout_tables[h])
         write_csv(out / f"holdout_{h}.csv", header, rows)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .models import NormalCoord, PriorSpec, UniformCoord
-from .quantile import NetworkSpec, OptimizerSpec
+from .nets import OptimizerSpec
+from .quantile import NetworkSpec
 
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")

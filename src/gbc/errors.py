@@ -18,8 +18,12 @@ class DataError(GbcError):
     """Missing, truncated, or malformed input data or artifacts (exit code 3)."""
 
 
-class TrainingDivergence(GbcError):
-    """Training produced a non-finite loss or gradient."""
+class TrainingDivergence(GbcError, ValueError):
+    """Training produced a non-finite loss or gradient.
+
+    A ValueError too, so a direct optimizer step on a bad gradient keeps
+    raising the ValueError it always did.
+    """
 
     def __init__(self, message, epoch=None):
         super().__init__(message)

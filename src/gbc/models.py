@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,15 +94,6 @@ class PriorSpec:
         return " ".join(c.describe() for c in self.coords)
 
 
-def simulate_normal_normal(theta, noise_var, n, rng) -> np.ndarray:
-    """n i.i.d. draws from N(theta, noise_var)."""
-    if noise_var <= 0:
-        raise ValueError("noise variance must be positive")
-    if n < 1:
-        raise ValueError("need at least one observation")
-    return rng.generator.normal(float(theta), np.sqrt(noise_var), size=int(n))
-
-
 class NormalLocationSimulator:
     """y_1..y_n i.i.d. N(theta, noise_var) given scalar theta."""
 
@@ -135,69 +126,6 @@ class NormalLocationSimulator:
         )
 
 
-@dataclass(frozen=True)
-class EpidemicScenario:
-    """One point in the 5-dimensional epidemic parameter box, plus the
-    quantile index alpha attached when the scenario's replicates are reduced
-    to quantile trajectories."""
-
-    theta1: float  # per-contact transmission probability
-    theta2: float  # initial infected count
-    theta3: float  # intervention delay in weeks
-    theta4: float  # intervention efficacy fraction
-    theta5: float  # travel-reduction driver
-    alpha: float | None = None
-
-    def params(self) -> np.ndarray:
-        return np.array(
-            [self.theta1, self.theta2, self.theta3, self.theta4, self.theta5]
-        )
-
-
-@dataclass
-class TrajectorySet:
-    """Replicate curves for one scenario: R replicates x T weeks, cumulative."""
-
-    scenario_id: int
-    curves: np.ndarray
-
-    def __post_init__(self):
-        self.curves = np.asarray(self.curves, dtype=np.float64)
-        if self.curves.ndim != 2:
-            raise ValueError("curves must be a 2-D (replicates x weeks) array")
-
-
-def simulate_epidemic(theta, pop, weeks, rng, contact=0.5, strict=True):
-    """Cumulative infection curve from a weekly chain-binomial epidemic.
-
-    Each week, every susceptible independently escapes infection with
-    probability (1 - t1_eff)^(contact_eff * I_t) where I_t is the count
-    infected in the previous week. From week ceil(theta3) onward the
-    transmission probability theta1 is scaled by (1 - theta4); reduced
-    travel scales the contact factor by (1 - 0.5 * theta5 / 8e-5).
-
-    Returns a non-decreasing integer-valued float array of length ``weeks``
-    starting at or above the initial infected count and capped at ``pop``.
-    With strict=True (the default) theta must lie in the scenario box;
-    boundary values like theta1=0 are only allowed with strict=False.
-    """
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    if theta.size != 5:
-        raise ValueError("epidemic scenarios have exactly 5 parameters")
-    if strict:
-        for k, ((lo, hi), v) in enumerate(zip(EPIDEMIC_RANGES, theta)):
-            if not lo <= v <= hi:
-                raise ValueError(
-                    f"theta{k + 1}={v} outside scenario range [{lo}, {hi}]"
-                )
-    if pop < theta[1]:
-        raise ValueError("population smaller than initial infected count")
-    if weeks < 1:
-        raise ValueError("need at least one week")
-    out = _epidemic_batch(theta[None, :], int(pop), int(weeks), rng.generator, contact)
-    return out[0]
-
-
 def _epidemic_batch(thetas, pop, weeks, gen, contact):
     """Vectorized chain-binomial over B parameter rows."""
     B = thetas.shape[0]
@@ -226,7 +154,18 @@ def _epidemic_batch(thetas, pop, weeks, gen, contact):
 
 
 class EpidemicSimulator:
-    """Chain-binomial epidemic over a fixed horizon; y is the cumulative curve."""
+    """Chain-binomial epidemic over a fixed horizon; y is the cumulative curve.
+
+    Each week, every susceptible independently escapes infection with
+    probability (1 - t1_eff)^(contact_eff * I_t) where I_t is the count
+    infected in the previous week. From week ceil(theta3) onward the
+    transmission probability theta1 is scaled by (1 - theta4); reduced
+    travel scales the contact factor by (1 - 0.5 * theta5 / 8e-5). Curves
+    are non-decreasing integer counts starting at or above the initial
+    infected count and capped at the population. With strict=True (the
+    default) theta must lie in EPIDEMIC_RANGES; boundary values like
+    theta1 = 0 are only allowed with strict=False.
+    """
 
     name = "epidemic"
 
@@ -248,15 +187,17 @@ class EpidemicSimulator:
 
     def simulate(self, theta, gen):
         theta = np.asarray(theta, dtype=np.float64).reshape(1, -1)
-        self._validate(theta)
+        self.validate(theta)
         return _epidemic_batch(theta, self.population, self.weeks, gen, self.contact)[0]
 
     def simulate_batch(self, thetas, gen):
         thetas = np.asarray(thetas, dtype=np.float64)
-        self._validate(thetas)
+        self.validate(thetas)
         return _epidemic_batch(thetas, self.population, self.weeks, gen, self.contact)
 
-    def _validate(self, thetas):
+    def validate(self, thetas):
+        """Raise ValueError unless every row is a 5-parameter scenario and,
+        when strict, lies inside EPIDEMIC_RANGES."""
         if thetas.shape[1] != 5:
             raise ValueError("epidemic scenarios have exactly 5 parameters")
         if not self.strict:
@@ -271,17 +212,21 @@ SIMULATOR_NAMES = ("normal-location", "epidemic")
 
 
 def make_simulator(name, params):
-    """Build a registered simulator from a flat parameter mapping."""
+    """Build a registered simulator from a flat parameter mapping, the
+    ``[simulator]`` section of a run config."""
+    from .config import RunConfig  # config imports this module
+
+    cfg = RunConfig(sections={"simulator": dict(params)})
     if name == "normal-location":
         return NormalLocationSimulator(
-            noise_var=float(params.get("noise_var", 1.0)),
-            n_obs=int(params.get("n_obs", 100)),
+            noise_var=cfg.get_float("simulator", "noise_var", 1.0),
+            n_obs=cfg.get_int("simulator", "n_obs", 100),
         )
     if name == "epidemic":
         return EpidemicSimulator(
-            population=int(params.get("population", 100_000)),
-            weeks=int(params.get("weeks", 56)),
-            contact=float(params.get("contact", 0.5)),
+            population=cfg.get_int("simulator", "population", 100_000),
+            weeks=cfg.get_int("simulator", "weeks", 56),
+            contact=cfg.get_float("simulator", "contact", 0.5),
         )
     raise ConfigError(
         f"unknown simulator {name!r}; registered simulators: "
@@ -372,8 +317,6 @@ def quantile_index_replicates(curves, probs=EPIDEMIC_QUANTILE_PROBS):
     alphas equals ``probs``. Quantile trajectories are non-decreasing in the
     prob at every week.
     """
-    if isinstance(curves, TrajectorySet):
-        curves = curves.curves
     curves = np.asarray(curves, dtype=np.float64)
     if curves.ndim != 2 or curves.shape[0] == 0:
         raise ValueError("need a non-empty (replicates x weeks) array")

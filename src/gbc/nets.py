@@ -1,4 +1,6 @@
-"""Dense feed-forward networks with exact reverse-mode gradients.
+"""Dense feed-forward networks with exact reverse-mode gradients, their
+optimizers, and the one minibatch training loop every net in the package
+is trained with.
 
 All arrays are float64 numpy. Networks are small (a few layers of width
 ~64), so hand-written backprop is both fast enough and fully deterministic,
@@ -16,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import TrainingDivergence
 
 RELU = "relu"
 IDENTITY = "identity"
@@ -290,4 +294,102 @@ def _check_grads(params, grads):
                 f"has shape {g.shape}"
             )
         if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient in parameter block {i}")
+            raise TrainingDivergence(f"non-finite gradient in parameter block {i}")
+
+
+@dataclass
+class OptimizerSpec:
+    method: str = "adam"  # "adam" | "sgd"
+    lr: float = 1e-3
+    momentum: float = 0.9
+    epochs: int = 300
+    batch_size: int = 128
+    lr_schedule: str = "step"  # "step" | "constant"
+    average_tail: float = 0.2  # fraction of final epochs to Polyak-average
+
+    def build(self):
+        if self.method == "adam":
+            return Adam(lr=self.lr)
+        if self.method == "sgd":
+            return SgdMomentum(lr=self.lr, momentum=self.momentum)
+        raise ValueError(f"unknown optimizer method {self.method!r}")
+
+    def lr_at(self, epoch):
+        """Learning rate for a given epoch.
+
+        The step schedule drops the rate tenfold at 50% and again at 75% of
+        the epoch budget. Pinball gradients do not vanish at the optimum
+        (the loss is piecewise linear), so without a decay the parameters
+        keep jittering at a scale set by the learning rate; the two drops
+        let the fit settle.
+        """
+        if self.lr_schedule == "constant":
+            return self.lr
+        if self.lr_schedule == "step":
+            frac = epoch / max(1, self.epochs)
+            if frac >= 0.75:
+                return self.lr * 0.01
+            if frac >= 0.5:
+                return self.lr * 0.1
+            return self.lr
+        raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
+
+
+def train_minibatch(
+    params, spec: OptimizerSpec, n, gen, batch_step, what, draw_epoch=None
+):
+    """Minibatch training of ``params`` in place; returns per-epoch mean loss.
+
+    Each epoch sets the learning rate from ``spec``, calls ``draw_epoch(gen)``
+    when given (per-row draws shared by the epoch's batches), shuffles the
+    ``n`` rows with ``gen`` and takes one optimizer step per batch.
+    ``batch_step(idx, drawn)`` returns ``(loss summed over the batch rows,
+    gradients aligned with params)``. The epoch loss is that sum over all
+    rows divided by ``n``. Over the final ``spec.average_tail`` fraction of
+    epochs the end-of-epoch parameters are averaged (Polyak), and ``params``
+    end at that average. A non-finite gradient or epoch loss raises
+    :class:`TrainingDivergence` carrying the epoch; ``what`` names the
+    training in its message.
+    """
+    if not 0.0 <= spec.average_tail <= 1.0:
+        raise ValueError("average_tail must lie in [0, 1]")
+    optimizer = spec.build()
+    losses = np.empty(spec.epochs)
+    # Pinball gradients stay O(1) at the optimum, so the iterates never stop
+    # jittering; averaging the final stretch of epochs removes that jitter.
+    avg_start = spec.epochs - int(round(spec.average_tail * spec.epochs))
+    avg_sum = None
+    n_avg = 0
+    for epoch in range(spec.epochs):
+        optimizer.lr = spec.lr_at(epoch)
+        drawn = draw_epoch(gen) if draw_epoch is not None else None
+        perm = gen.permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, spec.batch_size):
+            loss, grads = batch_step(perm[start : start + spec.batch_size], drawn)
+            loss_sum += loss
+            try:
+                optimizer.step(params, grads)
+            except TrainingDivergence as exc:
+                raise TrainingDivergence(
+                    f"{what} training produced a non-finite gradient "
+                    f"at epoch {epoch} ({exc})",
+                    epoch=epoch,
+                ) from exc
+        losses[epoch] = loss_sum / n
+        if not np.isfinite(losses[epoch]):
+            raise TrainingDivergence(
+                f"{what} training loss became non-finite at epoch {epoch}",
+                epoch=epoch,
+            )
+        if epoch >= avg_start:
+            if avg_sum is None:
+                avg_sum = [p.copy() for p in params]
+            else:
+                for acc, p in zip(avg_sum, params):
+                    acc += p
+            n_avg += 1
+    if n_avg > 0:
+        for p, acc in zip(params, avg_sum):
+            p[...] = acc / n_avg
+    return losses

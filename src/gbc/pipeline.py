@@ -18,7 +18,7 @@ from .analytic import NormalNormalModel, conjugate_posterior
 from .baselines import (
     AbcConfig,
     abc_epsilon_sweep,
-    fiducial_rejection,
+    fiducial_location,
     w1_bootstrap_se,
     w1_distance,
 )
@@ -34,19 +34,24 @@ from .design import lhs_sample
 from .errors import ConfigError
 from .models import (
     EPIDEMIC_QUANTILE_PROBS,
-    EPIDEMIC_RANGES,
-    EpidemicSimulator,
     NormalCoord,
-    PriorSpec,
     ReferenceTable,
-    UniformCoord,
     generate_reference_table,
     make_simulator,
     quantile_index_replicates,
 )
-from .quantile import AutoregressiveQuantileModel, posterior_quantile_curve, train_iqn
+from .quantile import posterior_quantile_curve, train_iqn
 from .rng import RngStream
-from .summaries import SummaryMap, apply_summary, fit_linear_summary, fit_posterior_mean_net
+# apply_summary is unused here but kept importable as pipeline.apply_summary:
+# profilers wrap it under every module name that can call it.
+from .summaries import (
+    SummaryMap,
+    apply_summary,  # noqa: F401
+    fit_linear_summary,
+    fit_posterior_mean_net,
+    holdout_mse,
+    mean_summary,
+)
 
 # Validation thresholds enforced by the normal benchmark (in units of the
 # exact posterior sd, except the Kolmogorov significance level).
@@ -96,10 +101,15 @@ def fit_summary(cfg: RunConfig, table: ReferenceTable, seed):
     log1p = cfg.get_bool("summary", "log1p_inputs", "false")
     if kind == "linear":
         summary = fit_linear_summary(table, log1p_inputs=log1p)
-        return summary, None, _holdout_mse(summary, table)
+        return summary, None, holdout_mse(summary, table)
     if kind != "network":
         raise ConfigError(
             f"config key [summary] kind must be linear or network, got {kind!r}"
+        )
+    optimizer = cfg.get_str("summary", "optimizer", "adam")
+    if optimizer not in ("adam", "sgd"):
+        raise ConfigError(
+            f"config key [summary] optimizer must be adam or sgd, got {optimizer!r}"
         )
     root = RngStream(seed)
     result = fit_posterior_mean_net(
@@ -109,21 +119,11 @@ def fit_summary(cfg: RunConfig, table: ReferenceTable, seed):
         epochs=cfg.get_int("summary", "epochs", 200),
         batch_size=cfg.get_int("summary", "batch_size", 128),
         lr=cfg.get_float("summary", "lr", 1e-3),
-        optimizer=cfg.get_str("summary", "optimizer", "adam"),
+        optimizer=optimizer,
         momentum=cfg.get_float("summary", "momentum", 0.9),
         log1p_inputs=log1p,
     )
     return result.summary, result.train_losses, result.holdout_loss
-
-
-def _holdout_mse(summary: SummaryMap, table: ReferenceTable) -> float:
-    cut = max(1, min(table.n_rows - 1, int(round(0.9 * table.n_rows))))
-    if cut >= table.n_rows:
-        return float("nan")
-    pred = apply_summary(summary, table.ys[cut:])
-    if pred.ndim == 1:
-        pred = pred[:, None]
-    return float(np.mean(np.sum((pred - table.thetas[cut:]) ** 2, axis=1)))
 
 
 def train_chain(cfg: RunConfig, table: ReferenceTable, summary: SummaryMap, seed):
@@ -242,13 +242,9 @@ def benchmark_normal(cfg: RunConfig, seed, threads=1) -> NormalBenchmarkResult:
     )
 
     # ABC sweep on the mean summary, epsilons in prior-predictive sd units.
-    n_obs = simulator.n_obs
-    mean_map = SummaryMap(
-        kind="linear",
-        matrix=np.full((1, n_obs), 1.0 / n_obs),
-        intercept=np.zeros(1),
+    abc_cfg = AbcConfig(
+        epsilon=0.0, summary=mean_summary(simulator.n_obs), standardize=True
     )
-    abc_cfg = AbcConfig(epsilon=0.0, summary=mean_map, standardize=True)
     epsilons = list(cfg.get_floats("abc", "epsilons", "2,1,0.5,0.25,0.1"))
     budget = cfg.get_int("abc", "budget", 300_000)
     sweep = abc_epsilon_sweep(
@@ -291,15 +287,7 @@ def benchmark_normal(cfg: RunConfig, seed, threads=1) -> NormalBenchmarkResult:
     # Fiducial location model on the scalar y = y_bar: closed form N(y_bar, 1).
     y_bar = float(np.mean(y_obs))
     fid_budget = cfg.get_int("fiducial", "budget", 10_000)
-    fid = fiducial_rejection(
-        G=lambda u, th: np.array([th[0] + u]),
-        sample_u=lambda gen: float(gen.normal()),
-        y_obs=np.array([y_bar]),
-        epsilon=math.inf,
-        budget=fid_budget,
-        rng=root.child("fiducial"),
-        theta_bounds=[(y_bar - 12.0, y_bar + 12.0)],
-    )
+    fid = fiducial_location(y_bar, math.inf, fid_budget, root.child("fiducial"))
     fid_draws = fid.thetas[:, 0]
     ks_stat, ks_p = stats.kstest(fid_draws, "norm", args=(y_bar, 1.0))
     fid_ok = ks_p > KS_SIGNIFICANCE
@@ -350,15 +338,21 @@ class EpidemicBenchmarkResult:
     failures: list
 
 
-def benchmark_epidemic(cfg: RunConfig, seed, threads=1) -> EpidemicBenchmarkResult:
+def benchmark_epidemic(cfg: RunConfig, seed) -> EpidemicBenchmarkResult:
     """Desk-scale epidemic study: train on quantile trajectories from an LHS
-    design, then check posterior-predictive band coverage on holdouts."""
-    params = simulator_params(cfg)
-    simulator = EpidemicSimulator(
-        population=int(float(params.get("population", 100_000))),
-        weeks=int(params.get("weeks", 56)),
-        contact=float(params.get("contact", 0.5)),
-    )
+    design over the [prior] box, then check posterior-predictive band
+    coverage on holdouts."""
+    simulator = make_simulator(cfg.get_str("run", "simulator"), simulator_params(cfg))
+    box = prior_from_config(cfg).box()
+    if simulator.name != "epidemic" or len(box) != 5 or None in box:
+        raise ConfigError(
+            "the epidemic benchmark needs the epidemic simulator and a "
+            "5-coordinate uniform [prior] theta"
+        )
+    try:
+        simulator.validate(np.array(box).T)  # both corners of the box
+    except ValueError as exc:
+        raise ConfigError(f"[prior] theta: {exc}") from exc
     n_scen = cfg.get_int("benchmark", "scenarios", 100)
     n_reps = cfg.get_int("benchmark", "replicates", 100)
     n_hold = cfg.get_int("benchmark", "holdouts", 3)
@@ -372,7 +366,7 @@ def benchmark_epidemic(cfg: RunConfig, seed, threads=1) -> EpidemicBenchmarkResu
     root = RngStream(seed)
 
     # Design and replicate curves.
-    scenarios = lhs_sample(EPIDEMIC_RANGES, n_scen, root.child("design"))
+    scenarios = lhs_sample(box, n_scen, root.child("design"))
     quantile_traj = np.empty((n_scen, probs.size, weeks))
     for i in range(n_scen):
         gen = root.child(f"scenario-{i}").generator
@@ -406,8 +400,8 @@ def benchmark_epidemic(cfg: RunConfig, seed, threads=1) -> EpidemicBenchmarkResu
     model = ckpt.model()
 
     # Prior box for clipping predictive draws back into simulator range.
-    lo = np.array([r[0] for r in EPIDEMIC_RANGES] + [0.0])
-    hi = np.array([r[1] for r in EPIDEMIC_RANGES] + [1.0])
+    lo = np.array([r[0] for r in box] + [0.0])
+    hi = np.array([r[1] for r in box] + [1.0])
 
     holdout_tables = {}
     coverage_rows = []
@@ -472,7 +466,7 @@ def benchmark_epidemic(cfg: RunConfig, seed, threads=1) -> EpidemicBenchmarkResu
     )
 
 
-def _simulate_unchecked(simulator: EpidemicSimulator, thetas, gen):
+def _simulate_unchecked(simulator, thetas, gen):
     # Predictive draws are clipped to the box, so range validation is moot;
     # bypassing it keeps the hot loop lean.
     from .models import _epidemic_batch

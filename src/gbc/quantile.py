@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TrainingDivergence
-from .nets import Adam, FeedForwardNet, SgdMomentum
+from .nets import FeedForwardNet, OptimizerSpec, train_minibatch
 from .summaries import SummaryMap, apply_summary
 
 
@@ -78,13 +77,6 @@ class CosineEmbedding:
         return [self.weight, self.bias]
 
 
-def cosine_embed(tau, emb: CosineEmbedding) -> np.ndarray:
-    """Embedding vector for a single quantile level tau in [0, 1]."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau={tau} outside [0, 1]")
-    return emb.forward(np.array([tau]))[0]
-
-
 def pinball_loss(tau, u):
     """Check-function loss rho_tau(u) = u * (tau - 1[u < 0]), >= 0.
 
@@ -107,44 +99,6 @@ class NetworkSpec:
     feature_dim: int = 64  # m: width of the psi/phi product junction
     n_cos: int = 64
     g_hidden: tuple = (64, 64)
-
-
-@dataclass
-class OptimizerSpec:
-    method: str = "adam"  # "adam" | "sgd"
-    lr: float = 1e-3
-    momentum: float = 0.9
-    epochs: int = 300
-    batch_size: int = 128
-    lr_schedule: str = "step"  # "step" | "constant"
-    average_tail: float = 0.2  # fraction of final epochs to Polyak-average
-
-    def build(self):
-        if self.method == "adam":
-            return Adam(lr=self.lr)
-        if self.method == "sgd":
-            return SgdMomentum(lr=self.lr, momentum=self.momentum)
-        raise ValueError(f"unknown optimizer method {self.method!r}")
-
-    def lr_at(self, epoch):
-        """Learning rate for a given epoch.
-
-        The step schedule drops the rate tenfold at 50% and again at 75% of
-        the epoch budget. Pinball gradients do not vanish at the optimum
-        (the loss is piecewise linear), so without a decay the parameters
-        keep jittering at a scale set by the learning rate; the two drops
-        let the fit settle.
-        """
-        if self.lr_schedule == "constant":
-            return self.lr
-        if self.lr_schedule == "step":
-            frac = epoch / max(1, self.epochs)
-            if frac >= 0.75:
-                return self.lr * 0.01
-            if frac >= 0.5:
-                return self.lr * 0.1
-            return self.lr
-        raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
 
 
 @dataclass
@@ -233,62 +187,30 @@ def train_iqn(
         target_mean=t_mean, target_sd=t_sd,
     )
 
-    optimizer = opt.build()
     params = psi.parameters() + phi.parameters() + g.parameters()
-    gen = rng.child("train-shuffle").generator
+
+    def batch_step(idx, taus):
+        tb, taub = t[idx], taus[idx]
+        a, cache_psi = psi.forward_cached(x[idx])
+        b, cache_phi = phi.forward_cached(taub)
+        h = a * b
+        out, cache_g = g.forward_cached(h)
+        u = tb - out[:, 0]
+        loss = float(np.sum(u * (taub - (u < 0.0))))
+        # d(mean pinball)/d(out) = (1[u<0] - tau) / batch
+        dout = (((u < 0.0) - taub) / len(idx))[:, None]
+        grads_g, dh = g.backward(cache_g, dout)
+        grads_psi, _ = psi.backward(cache_psi, dh * b)
+        grads_phi = phi.backward(cache_phi, dh * a)
+        return loss, grads_psi + grads_phi + grads_g
+
     n = x.shape[0]
-    losses = np.empty(opt.epochs)
-    if not 0.0 <= opt.average_tail <= 1.0:
-        raise ValueError("average_tail must lie in [0, 1]")
-    # Pinball gradients stay O(1) at the optimum, so the iterates never stop
-    # jittering; averaging the final stretch of epochs removes that jitter.
-    avg_start = opt.epochs - int(round(opt.average_tail * opt.epochs))
-    avg_sum = None
-    n_avg = 0
-    for epoch in range(opt.epochs):
-        optimizer.lr = opt.lr_at(epoch)
-        taus = gen.uniform(size=n)
-        perm = gen.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, opt.batch_size):
-            idx = perm[start : start + opt.batch_size]
-            tb, taub = t[idx], taus[idx]
-            a, cache_psi = psi.forward_cached(x[idx])
-            b, cache_phi = phi.forward_cached(taub)
-            h = a * b
-            out, cache_g = g.forward_cached(h)
-            u = tb - out[:, 0]
-            loss_sum += float(np.sum(u * (taub - (u < 0.0))))
-            # d(mean pinball)/d(out) = (1[u<0] - tau) / batch
-            dout = (((u < 0.0) - taub) / len(idx))[:, None]
-            grads_g, dh = g.backward(cache_g, dout)
-            grads_psi, _ = psi.backward(cache_psi, dh * b)
-            grads_phi = phi.backward(cache_phi, dh * a)
-            step_grads = grads_psi + grads_phi + grads_g
-            if not all(np.all(np.isfinite(block)) for block in step_grads):
-                raise TrainingDivergence(
-                    f"quantile training produced a non-finite gradient "
-                    f"at epoch {epoch}",
-                    epoch=epoch,
-                )
-            optimizer.step(params, step_grads)
-        losses[epoch] = (loss_sum / n) * t_sd  # pinball scales linearly
-        if not np.isfinite(losses[epoch]):
-            raise TrainingDivergence(
-                f"quantile training loss became non-finite at epoch {epoch}",
-                epoch=epoch,
-            )
-        if epoch >= avg_start:
-            if avg_sum is None:
-                avg_sum = [p.copy() for p in params]
-            else:
-                for acc, p in zip(avg_sum, params):
-                    acc += p
-            n_avg += 1
-    if n_avg > 0:
-        for p, acc in zip(params, avg_sum):
-            p[...] = acc / n_avg
-    return net, losses
+    # Each epoch draws a fresh quantile level per row before shuffling.
+    losses = train_minibatch(
+        params, opt, n, rng.child("train-shuffle").generator, batch_step,
+        "quantile", draw_epoch=lambda gen: gen.uniform(size=n),
+    )
+    return net, losses * t_sd  # pinball scales linearly
 
 
 @dataclass
@@ -340,27 +262,6 @@ class AutoregressiveQuantileModel:
         return self.nets[0].quantile_values(self._summary_of(y_obs), np.asarray(taus))
 
 
-class AnalyticQuantileStub:
-    """Adapter giving a closed-form posterior the quantile-model interface."""
-
-    def __init__(self, posterior):
-        self.posterior = posterior
-
-    def quantile_values(self, y_obs, taus):
-        return np.asarray(self.posterior.quantile(np.asarray(taus)))
-
-
-class FunctionQuantileStub:
-    """Wrap a plain quantile function tau -> value as a quantile model."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def quantile_values(self, y_obs, taus):
-        taus = np.asarray(taus, dtype=np.float64)
-        return np.asarray([self.fn(t) for t in taus], dtype=np.float64)
-
-
 def posterior_quantile_curve(model, y_obs, tau_grid):
     """Quantile curve on a grid, monotone-rearranged.
 
@@ -382,15 +283,6 @@ def posterior_quantile_curve(model, y_obs, tau_grid):
     else:
         crossing = 0.0
     return np.sort(raw), crossing
-
-
-def sample_posterior(model, y_obs, n_draws, rng) -> np.ndarray:
-    """Draw from the fitted posterior: independent uniforms through the chain."""
-    if hasattr(model, "sample"):
-        return model.sample(y_obs, n_draws, rng)
-    # Stubs: single coordinate, direct inverse-CDF sampling.
-    taus = rng.generator.uniform(size=n_draws)
-    return np.asarray(model.quantile_values(y_obs, taus))[:, None]
 
 
 def expected_utility(model, y_obs, utility, quadrature_size=10_000) -> float:

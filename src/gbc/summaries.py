@@ -9,12 +9,11 @@ fitted and is embedded verbatim in model checkpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TrainingDivergence
-from .nets import Adam, FeedForwardNet, SgdMomentum
+from .nets import FeedForwardNet, OptimizerSpec, train_minibatch
 
 RIDGE = 1e-8
 
@@ -79,6 +78,13 @@ def apply_summary(summary: SummaryMap, y) -> np.ndarray:
     return out[0] if squeeze else out
 
 
+def mean_summary(n) -> SummaryMap:
+    """The sample mean of an n-vector as a one-coordinate linear summary."""
+    return SummaryMap(
+        kind="linear", matrix=np.full((1, n), 1.0 / n), intercept=np.zeros(1)
+    )
+
+
 def _safe_sd(x, axis=0):
     sd = x.std(axis=axis)
     return np.where(sd == 0.0, 1.0, sd)
@@ -88,6 +94,16 @@ def _split_holdout(n_rows):
     """Fixed 90/10 split by row index; at least one row on each side."""
     cut = max(1, min(n_rows - 1, int(round(0.9 * n_rows)))) if n_rows > 1 else n_rows
     return np.arange(cut), np.arange(cut, n_rows)
+
+
+def holdout_mse(summary: SummaryMap, table) -> float:
+    """Mean squared Euclidean error of the summary on the held-out rows of
+    the 90/10 split; nan when the table is too small to hold any out."""
+    _, hold_ix = _split_holdout(table.n_rows)
+    if not hold_ix.size:
+        return float("nan")
+    pred = apply_summary(summary, table.ys[hold_ix])
+    return float(np.mean(np.sum((pred - table.thetas[hold_ix]) ** 2, axis=1)))
 
 
 @dataclass
@@ -120,7 +136,7 @@ def fit_posterior_mean_net(
         raise ValueError("cannot fit a summary on an empty table")
     ys = np.log1p(table.ys) if log1p_inputs else table.ys
     thetas = table.thetas
-    train_ix, hold_ix = _split_holdout(table.n_rows)
+    train_ix, _ = _split_holdout(table.n_rows)
 
     x_mean = ys[train_ix].mean(axis=0)
     x_sd = _safe_sd(ys[train_ix])
@@ -133,40 +149,22 @@ def fit_posterior_mean_net(
     net = FeedForwardNet.create(
         [ys.shape[1], *hidden, d], rng.child("summary-init")
     )
-    if optimizer == "adam":
-        opt = Adam(lr=lr)
-    elif optimizer == "sgd":
-        opt = SgdMomentum(lr=lr, momentum=momentum)
-    else:
-        raise ValueError(f"unknown optimizer {optimizer!r}")
+    spec = OptimizerSpec(
+        method=optimizer, lr=lr, momentum=momentum, epochs=epochs,
+        batch_size=batch_size, lr_schedule="constant", average_tail=0.0,
+    )
 
-    gen = rng.child("summary-shuffle").generator
-    n_train = x_train.shape[0]
-    losses = np.empty(epochs)
-    params = net.parameters()
-    for epoch in range(epochs):
-        perm = gen.permutation(n_train)
-        sq_sum = 0.0
-        for start in range(0, n_train, batch_size):
-            idx = perm[start : start + batch_size]
-            xb, tb = x_train[idx], t_train[idx]
-            out, cache = net.forward_cached(xb)
-            resid = out - tb
-            sq_sum += float(np.sum(resid**2 * t_sd**2))
-            grads, _ = net.backward(cache, (2.0 / (len(idx) * d)) * resid)
-            if not all(np.all(np.isfinite(block)) for block in grads):
-                raise TrainingDivergence(
-                    f"summary training produced a non-finite gradient "
-                    f"at epoch {epoch}",
-                    epoch=epoch,
-                )
-            opt.step(params, grads)
-        losses[epoch] = sq_sum / n_train
-        if not np.isfinite(losses[epoch]):
-            raise TrainingDivergence(
-                f"summary training loss became non-finite at epoch {epoch}",
-                epoch=epoch,
-            )
+    def batch_step(idx, _drawn):
+        out, cache = net.forward_cached(x_train[idx])
+        resid = out - t_train[idx]
+        loss = float(np.sum(resid**2 * t_sd**2))
+        grads, _ = net.backward(cache, (2.0 / (len(idx) * d)) * resid)
+        return loss, grads
+
+    losses = train_minibatch(
+        net.parameters(), spec, x_train.shape[0],
+        rng.child("summary-shuffle").generator, batch_step, "summary",
+    )
 
     summary = SummaryMap(
         kind="network",
@@ -177,12 +175,7 @@ def fit_posterior_mean_net(
         output_mean=t_mean,
         output_sd=t_sd,
     )
-    if hold_ix.size:
-        pred = apply_summary(summary, table.ys[hold_ix])
-        holdout = float(np.mean(np.sum((pred - thetas[hold_ix]) ** 2, axis=1)))
-    else:
-        holdout = float("nan")
-    return SummaryFitResult(summary, losses, holdout)
+    return SummaryFitResult(summary, losses, holdout_mse(summary, table))
 
 
 def fit_linear_summary(table, ridge=RIDGE, log1p_inputs=False) -> SummaryMap:

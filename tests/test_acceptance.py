@@ -25,8 +25,9 @@ from gbc.config import RunConfig
 from gbc.models import EPIDEMIC_QUANTILE_PROBS, PriorSpec, UniformCoord
 from gbc.nets import run_gradient_check
 from gbc.pipeline import benchmark_epidemic, benchmark_normal, run_seed
-from gbc.quantile import FunctionQuantileStub, expected_utility
+from gbc.quantile import expected_utility
 from gbc.rng import RngStream
+from quantile_helpers import FunctionQuantileStub
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -50,7 +51,7 @@ def normal_benchmark():
 def epidemic_benchmark():
     cfg = RunConfig.from_file(CONFIG_DIR / "epidemic.ini")
     start = time.perf_counter()
-    result = benchmark_epidemic(cfg, run_seed(cfg), threads=1)
+    result = benchmark_epidemic(cfg, run_seed(cfg))
     elapsed = time.perf_counter() - start
     return cfg, result, elapsed
 

@@ -102,6 +102,37 @@ def test_missing_config_key_is_config_error(smoke):
     assert "table_rows" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command, edits, key",
+    [
+        ("gen-table", [("= normal-location", "= epidemic"),
+                       ("n_obs = 6", "population = 1e5")], "[simulator] population"),
+        ("fiducial", [("[prior]", "[fiducial]\nepsilon = loose\n\n[prior]")],
+         "[fiducial] epsilon"),
+        ("train", [("kind = linear", "kind = network\noptimizer = adagrad")],
+         "[summary] optimizer"),
+    ],
+    ids=["integer-population", "fiducial-epsilon", "summary-optimizer"],
+)
+def test_bad_config_value_is_config_error(smoke, command, edits, key):
+    cfg, tmp = smoke
+    out = tmp / "out"
+    assert run_cli("gen-table", "--config", str(cfg), "--out", str(out)).returncode == 0
+    text = cfg.read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    cfg.write_text(text)
+    y_obs = tmp / "y.csv"
+    y_obs.write_text("1.5\n")
+    extra = ["--y-obs", str(y_obs)] if command == "fiducial" else []
+    proc = run_cli(command, "--config", str(cfg), "--out", str(out), *extra)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr
+    assert key in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_missing_table_is_data_error(smoke):
     cfg, tmp = smoke
     proc = run_cli("train", "--config", str(cfg), "--out", str(tmp / "out"))

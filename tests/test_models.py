@@ -6,6 +6,7 @@ import pytest
 from gbc.errors import ConfigError, DataError
 from gbc.models import (
     EPIDEMIC_RANGES,
+    EpidemicSimulator,
     NormalCoord,
     NormalLocationSimulator,
     PriorSpec,
@@ -16,31 +17,38 @@ from gbc.models import (
     quantile_index_replicates,
     read_table_binary,
     read_table_csv,
-    simulate_epidemic,
-    simulate_normal_normal,
     write_table_binary,
     write_table_csv,
 )
 from gbc.rng import RngStream
 
 
+def _simulate_normal(theta, noise_var, n, rng):
+    return NormalLocationSimulator(noise_var, n).simulate([theta], rng.generator)
+
+
+def _simulate_epidemic(theta, pop, weeks, rng, strict=True):
+    sim = EpidemicSimulator(population=pop, weeks=weeks, strict=strict)
+    return sim.simulate(theta, rng.generator)
+
+
 def test_normal_normal_rejects_bad_variance():
-    with pytest.raises(ValueError):
-        simulate_normal_normal(0.0, noise_var=0.0, n=5, rng=RngStream(1))
-    with pytest.raises(ValueError):
-        simulate_normal_normal(0.0, noise_var=-2.0, n=5, rng=RngStream(1))
+    with pytest.raises(ConfigError):
+        _simulate_normal(0.0, noise_var=0.0, n=5, rng=RngStream(1))
+    with pytest.raises(ConfigError):
+        _simulate_normal(0.0, noise_var=-2.0, n=5, rng=RngStream(1))
 
 
 def test_normal_normal_sample_mean_clt_bound():
     # theta=3, variance 10, n=10000: the sample mean lies within
     # 4 standard errors of 3 (seed-checked, standard error sqrt(10/n)).
-    y = simulate_normal_normal(3.0, noise_var=10.0, n=10_000, rng=RngStream(7))
+    y = _simulate_normal(3.0, noise_var=10.0, n=10_000, rng=RngStream(7))
     assert abs(np.mean(y) - 3.0) < 4.0 * np.sqrt(10.0 / 10_000)
 
 
 def test_normal_normal_fixed_seed_reproduces():
-    a = simulate_normal_normal(1.0, 2.0, 100, RngStream(12))
-    b = simulate_normal_normal(1.0, 2.0, 100, RngStream(12))
+    a = _simulate_normal(1.0, 2.0, 100, RngStream(12))
+    b = _simulate_normal(1.0, 2.0, 100, RngStream(12))
     assert np.array_equal(a, b)
 
 
@@ -48,7 +56,7 @@ def test_epidemic_zero_transmission_flat_curve():
     # theta1 = 0 is outside the scenario box; strict=False permits the
     # boundary case, where nobody new is ever infected.
     theta = [0.0, 5.0, 4.0, 0.5, 5e-5]
-    curve = simulate_epidemic(theta, pop=1000, weeks=20, rng=RngStream(3), strict=False)
+    curve = _simulate_epidemic(theta, pop=1000, weeks=20, rng=RngStream(3), strict=False)
     assert np.all(curve == 5.0)
 
 
@@ -58,7 +66,7 @@ def test_epidemic_curve_invariants():
     highs = np.array([r[1] for r in EPIDEMIC_RANGES])
     for i in range(10):
         theta = lows + (highs - lows) * gen.uniform(size=5)
-        curve = simulate_epidemic(theta, pop=100_000, weeks=56, rng=RngStream(100 + i))
+        curve = _simulate_epidemic(theta, pop=100_000, weeks=56, rng=RngStream(100 + i))
         assert curve.shape == (56,)
         assert np.all(np.diff(curve) >= 0.0)  # cumulative
         assert curve[0] >= theta[1]  # starts at/above initial infected
@@ -68,7 +76,7 @@ def test_epidemic_curve_invariants():
 
 def test_epidemic_strict_range_check():
     with pytest.raises(ValueError, match="theta1"):
-        simulate_epidemic([1e-6, 5, 4, 0.5, 5e-5], pop=1000, weeks=5, rng=RngStream(0))
+        _simulate_epidemic([1e-6, 5, 4, 0.5, 5e-5], pop=1000, weeks=5, rng=RngStream(0))
 
 
 def test_epidemic_more_transmission_more_cases():
@@ -76,8 +84,8 @@ def test_epidemic_more_transmission_more_cases():
     lo_final = []
     hi_final = []
     for i in range(30):
-        lo = simulate_epidemic([3e-5, 10, 10, 0.1, 8e-5], 100_000, 56, RngStream(i))
-        hi = simulate_epidemic([8e-5, 10, 10, 0.1, 3e-5], 100_000, 56, RngStream(i))
+        lo = _simulate_epidemic([3e-5, 10, 10, 0.1, 8e-5], 100_000, 56, RngStream(i))
+        hi = _simulate_epidemic([8e-5, 10, 10, 0.1, 3e-5], 100_000, 56, RngStream(i))
         lo_final.append(lo[-1])
         hi_final.append(hi[-1])
     assert np.mean(hi_final) > 10 * np.mean(lo_final)

@@ -7,23 +7,26 @@ import pytest
 from scipy import stats
 
 from gbc.analytic import NormalNormalModel, conjugate_posterior
+from gbc.errors import TrainingDivergence
 from gbc.models import ReferenceTable
 from gbc.quantile import (
-    AnalyticQuantileStub,
     AutoregressiveQuantileModel,
     CosineEmbedding,
-    FunctionQuantileStub,
     NetworkSpec,
     OptimizerSpec,
-    cosine_embed,
     expected_utility,
     pinball_loss,
     posterior_quantile_curve,
-    sample_posterior,
     train_iqn,
 )
 from gbc.rng import RngStream
 from gbc.summaries import SummaryMap
+from quantile_helpers import (
+    AnalyticQuantileStub,
+    FunctionQuantileStub,
+    cosine_embed,
+    sample_posterior,
+)
 
 
 def _identity_summary(n=1):
@@ -231,6 +234,15 @@ def test_train_iqn_validates_inputs():
     bad_tail = OptimizerSpec(epochs=2, average_tail=1.5)
     with pytest.raises(ValueError, match="average_tail"):
         train_iqn(table, _identity_summary(), 0, _SMALL_SPEC, bad_tail, RngStream(0))
+
+
+def test_train_iqn_divergence_is_reported_with_epoch():
+    table = _toy_table(256, seed=38)
+    opt = OptimizerSpec(method="sgd", lr=1e12, epochs=5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDivergence) as err:
+            train_iqn(table, _identity_summary(), 0, _SMALL_SPEC, opt, RngStream(39))
+    assert err.value.epoch is not None
 
 
 def test_composite_gradient_matches_finite_differences():
