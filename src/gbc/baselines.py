@@ -194,29 +194,47 @@ def reverify_abc(simulator, prior, y_obs, cfg, result: AbcResult, rng) -> bool:
 
 
 def golden_section(fn, lo, hi, tol=1e-8, max_iter=200):
-    """Minimize a unimodal scalar function on [lo, hi].
+    """Minimize a unimodal function on [lo, hi], elementwise over arrays.
 
-    Returns ``(x, converged)`` where converged means the bracket shrank
-    below tol within the iteration cap.
+    ``fn`` maps an array of points shaped like the broadcast of ``lo`` and
+    ``hi`` to their values. Each element keeps its own bracket and stops on
+    its own once the bracket is no wider than tol, or at the iteration cap;
+    its arithmetic is that of a scalar golden-section search. Returns
+    ``(x, converged)``: arrays, or a float and a bool for scalar bounds.
     """
-    a, b = float(lo), float(hi)
-    if not a < b:
+    a, b = np.broadcast_arrays(
+        np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    )
+    if not np.all(a < b):
         raise ValueError("need lo < hi")
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = fn(x1), fn(x2)
+    active = b - a > tol
     it = 0
-    while b - a > tol and it < max_iter:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fn(x2)
+    while it < max_iter and np.any(active):
+        # left: the minimum lies in [a, x2], so x2 becomes b and x1 becomes
+        # x2; right: it lies in [x1, b]. Either way one new point is probed.
+        le = f1 <= f2
+        left, right = active & le, active & ~le
+        b = np.where(left, x2, b)
+        a = np.where(right, x1, a)
+        probe = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        f_probe = fn(probe)
+        x1, x2 = (
+            np.where(left, probe, np.where(right, x2, x1)),
+            np.where(right, probe, np.where(left, x1, x2)),
+        )
+        f1, f2 = (
+            np.where(left, f_probe, np.where(right, f2, f1)),
+            np.where(right, f_probe, np.where(left, f1, f2)),
+        )
+        active &= b - a > tol
         it += 1
-    return 0.5 * (a + b), (b - a) <= tol
+    x, converged = 0.5 * (a + b), (b - a) <= tol
+    if x.ndim == 0:
+        return float(x), bool(converged)
+    return x, converged
 
 
 @dataclass
@@ -251,6 +269,14 @@ def fiducial_rejection(
     draw). Draws whose inner optimization does not converge are skipped and
     counted, not raised.
 
+    All draws are solved at once. ``sample_u`` returns one draw (a scalar
+    or a k-vector) and is called ``budget`` times; the draws are stacked on
+    a trailing axis, so ``G(u, theta)`` receives u of shape (n,) or (k, n)
+    and theta of shape (d, n), and returns the m model outputs of all n
+    draws, shape (m, n) (or (n,) when m = 1). A G written with elementwise
+    NumPy operations on ``u[i]`` and ``theta[j]`` does this. Each draw's
+    bracket updates, sweeps and result are those of a per-draw solve.
+
     With normalize_dim the distance is divided by sqrt(len(y_obs)), making
     epsilon a per-coordinate RMS tolerance.
     """
@@ -260,59 +286,71 @@ def fiducial_rejection(
         if not lo < hi:
             raise ValueError(f"empty theta bound [{lo}, {hi}]")
     d = len(bounds)
+    budget = int(budget)
+    if budget < 1:
+        return FiducialResult(np.empty((0, d)), budget, 0, 0, 0.0)
     gen = rng.generator
     norm = math.sqrt(y_obs.size) if normalize_dim else 1.0
+    u = np.stack([np.asarray(sample_u(gen)) for _ in range(budget)], axis=-1)
 
-    def distance(u, theta):
-        resid = y_obs - np.atleast_1d(np.asarray(G(u, theta), dtype=np.float64))
-        return float(np.sqrt(np.sum(resid**2))) / norm
+    def distance(idx, theta):
+        """||y_obs - G(u, theta)|| / norm for the draws ``idx``."""
+        g = np.asarray(G(u[..., idx], theta), dtype=np.float64)
+        if g.ndim < 2:
+            g = g.reshape(1, -1)
+        resid = np.broadcast_to(y_obs[:, None] - g, (y_obs.size, idx.size))
+        # One contiguous row per draw, so each sum adds in the per-draw order.
+        resid = np.ascontiguousarray(resid.T)
+        return np.sqrt(np.sum(resid**2, axis=1)) / norm
 
-    accepted = []
-    n_skipped = 0
-    for _ in range(int(budget)):
-        u = sample_u(gen)
-        if d == 1:
-            x, ok = golden_section(
-                lambda v: distance(u, np.array([v])),
-                bounds[0][0], bounds[0][1], tol=tol, max_iter=max_iter,
-            )
-            theta = np.array([x])
-        else:
-            theta = np.array([0.5 * (lo + hi) for lo, hi in bounds])
-            ok = False
-            for _sweep in range(max_sweeps):
-                shift = 0.0
-                for k, (lo, hi) in enumerate(bounds):
-                    def along(v, _k=k):
-                        t = theta.copy()
-                        t[_k] = v
-                        return distance(u, t)
+    lo = np.array([b[0] for b in bounds])
+    hi = np.array([b[1] for b in bounds])
+    every = np.arange(budget)
+    if d == 1:
+        x, ok = golden_section(
+            lambda v: distance(every, v[None, :]),
+            np.full(budget, lo[0]), np.full(budget, hi[0]),
+            tol=tol, max_iter=max_iter,
+        )
+        theta = x[None, :]
+    else:
+        # Cyclic coordinate descent over the draws still in the batch: a
+        # draw leaves it when a sweep moves no coordinate by 10 tol (ok) or
+        # when one of its line searches fails (skipped).
+        theta = np.repeat((0.5 * (lo + hi))[:, None], budget, axis=1)
+        ok = np.zeros(budget, dtype=bool)
+        live = every
+        for _sweep in range(max_sweeps):
+            shift = np.zeros(live.size)
+            for k in range(d):
+                def along(v, _k=k, _live=live):
+                    t = theta[:, _live]
+                    t[_k] = v
+                    return distance(_live, t)
 
-                    x, conv = golden_section(
-                        along, lo, hi, tol=tol, max_iter=max_iter
-                    )
-                    if not conv:
-                        break
-                    shift = max(shift, abs(x - theta[k]))
-                    theta[k] = x
-                else:
-                    if shift < 10.0 * tol:
-                        ok = True
-                        break
-                    continue
-                break  # a line search failed to converge
-        if not ok:
-            n_skipped += 1
-            continue
-        if distance(u, theta) <= epsilon:
-            accepted.append(theta)
-    thetas = np.array(accepted) if accepted else np.empty((0, d))
+                x, conv = golden_section(
+                    along, np.full(live.size, lo[k]), np.full(live.size, hi[k]),
+                    tol=tol, max_iter=max_iter,
+                )
+                step = np.abs(x - theta[k, live])
+                shift = np.where(step > shift, step, shift)
+                theta[k, live[conv]] = x[conv]
+                live, shift = live[conv], shift[conv]
+            done = shift < 10.0 * tol
+            ok[live[done]] = True
+            live = live[~done]
+            if live.size == 0:
+                break
+    keep = np.flatnonzero(ok)
+    if keep.size:
+        keep = keep[distance(keep, theta[:, keep]) <= epsilon]
+    n_accepted = int(keep.size)
     return FiducialResult(
-        thetas=thetas,
-        n_draws=int(budget),
-        n_accepted=len(accepted),
-        n_skipped=n_skipped,
-        acceptance_rate=len(accepted) / budget if budget else 0.0,
+        thetas=np.ascontiguousarray(theta[:, keep].T),
+        n_draws=budget,
+        n_accepted=n_accepted,
+        n_skipped=budget - int(ok.sum()),
+        acceptance_rate=n_accepted / budget,
     )
 
 

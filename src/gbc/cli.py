@@ -106,7 +106,8 @@ def _read_table(path: Path):
     return read_table_binary(path)
 
 
-def _read_vector(path) -> np.ndarray:
+def _read_vector(path, size=None) -> np.ndarray:
+    """The single observation row of a CSV file; ``size`` values if given."""
     try:
         data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     except OSError as exc:
@@ -117,7 +118,16 @@ def _read_vector(path) -> np.ndarray:
         raise DataError(
             f"{path} holds {data.shape[0]} rows; expected a single observation row"
         )
+    if size is not None and data.shape[1] != size:
+        raise DataError(
+            f"{path} holds {data.shape[1]} values; the model takes {size}"
+        )
     return data[0]
+
+
+def _summary_mse_label(summary) -> str:
+    # A linear summary is fitted on every row, so its error is in-sample.
+    return "in-sample mse" if summary.kind == "linear" else "holdout mse"
 
 
 def cmd_gen_table(args) -> int:
@@ -139,7 +149,7 @@ def cmd_fit_summary(args) -> int:
     seed = run_seed(cfg, args.seed)
     out = _out_dir(args, cfg)
     table = _read_table(_table_path(args, cfg, out))
-    summary, losses, holdout = fit_summary(cfg, table, seed)
+    summary, losses, mse = fit_summary(cfg, table, seed)
     ckpt = Checkpoint(
         summary=summary, nets=[], table_seed=table.seed,
         config_hash=cfg.config_hash(),
@@ -153,7 +163,7 @@ def cmd_fit_summary(args) -> int:
             [[i, v] for i, v in enumerate(losses)],
         )
     print(f"wrote summary checkpoint to {path}")
-    print(f"holdout mse: {fmt_value(holdout)}")
+    print(f"{_summary_mse_label(summary)}: {fmt_value(mse)}")
     return 0
 
 
@@ -162,7 +172,7 @@ def cmd_train(args) -> int:
     seed = run_seed(cfg, args.seed)
     out = _out_dir(args, cfg)
     table = _read_table(_table_path(args, cfg, out))
-    summary, summary_losses, holdout = fit_summary(cfg, table, seed)
+    summary, summary_losses, mse = fit_summary(cfg, table, seed)
     ckpt, traces = train_chain(cfg, table, summary, seed)
     path = out / "model.gbcq"
     save_checkpoint(path, ckpt)
@@ -178,7 +188,7 @@ def cmd_train(args) -> int:
         [[i, *traces[i]] for i in range(traces.shape[0])],
     )
     print(f"wrote model checkpoint to {path}")
-    print(f"summary holdout mse: {fmt_value(holdout)}")
+    print(f"summary {_summary_mse_label(summary)}: {fmt_value(mse)}")
     print(
         "final pinball losses: "
         + ", ".join(fmt_value(v) for v in traces[-1])
@@ -198,7 +208,7 @@ def cmd_sample(args) -> int:
         raise DataError(f"{ckpt_path} holds only a summary map, not a trained chain")
     if not args.y_obs:
         raise ConfigError("sample needs --y-obs FILE")
-    y_obs = _read_vector(args.y_obs)
+    y_obs = _read_vector(args.y_obs, ckpt.summary.in_dim)
     model = ckpt.model()
     draws = model.sample(y_obs, args.draws, RngStream(seed).child("sample"))
     path = out / "samples.csv"
@@ -217,9 +227,9 @@ def cmd_abc(args) -> int:
     out = _out_dir(args, cfg)
     if not args.y_obs:
         raise ConfigError("abc needs --y-obs FILE")
-    y_obs = _read_vector(args.y_obs)
     prior = prior_from_config(cfg)
     simulator = make_simulator(cfg.get_str("run", "simulator"), simulator_params(cfg))
+    y_obs = _read_vector(args.y_obs, simulator.y_dim)
     kind = cfg.get_str("abc", "summary", "mean")
     if kind == "mean":
         summary = mean_summary(simulator.y_dim)
@@ -285,7 +295,7 @@ def cmd_fiducial(args) -> int:
 
         def G(u, th):
             mu, var = th[0], th[1]
-            return np.array([mu + math.sqrt(var) * u[0], var * u[1]])
+            return np.array([mu + np.sqrt(var) * u[0], var * u[1]])
 
         def sample_u(gen):
             return np.array(

@@ -126,9 +126,13 @@ class NormalLocationSimulator:
         )
 
 
-def _epidemic_batch(thetas, pop, weeks, gen, contact):
-    """Vectorized chain-binomial over B parameter rows."""
-    B = thetas.shape[0]
+def _epidemic_weeks(thetas, pop, weeks, gen, contact):
+    """Vectorized chain-binomial over B parameter rows, one week at a time.
+
+    Yields the (B,) int64 cumulative count of each week in turn. The array
+    is updated in place when the next week is drawn, so a consumer that
+    keeps it must copy it.
+    """
     t1, t2, t3, t4, t5 = (thetas[:, k] for k in range(5))
     contact_eff = contact * (1.0 - 0.5 * t5 / 8e-5)
     intervene_week = np.ceil(t3)
@@ -138,7 +142,6 @@ def _epidemic_batch(thetas, pop, weeks, gen, contact):
     susceptible = pop - init
     active = init.copy()
     cum = init.copy()
-    curves = np.empty((B, weeks), dtype=np.float64)
     for week in range(1, weeks + 1):
         t1_eff = np.where(week >= intervene_week, t1 * (1.0 - t4), t1)
         # Escape probability per susceptible this week.
@@ -149,7 +152,14 @@ def _epidemic_batch(thetas, pop, weeks, gen, contact):
         susceptible -= new
         cum += new
         active = new
-        curves[:, week - 1] = cum
+        yield cum
+
+
+def _epidemic_batch(thetas, pop, weeks, gen, contact):
+    """The (B, weeks) cumulative curves of :func:`_epidemic_weeks`."""
+    curves = np.empty((thetas.shape[0], weeks), dtype=np.float64)
+    for week, cum in enumerate(_epidemic_weeks(thetas, pop, weeks, gen, contact)):
+        curves[:, week] = cum
     return curves
 
 
@@ -403,17 +413,28 @@ def read_table_binary(path) -> ReferenceTable:
         raise DataError(f"cannot read table file {path}: {exc}") from exc
     if blob[:4] != _GBCT_MAGIC:
         raise DataError(f"{path} is not a reference-table file (bad magic)")
-    (version,) = struct.unpack_from("<I", blob, 4)
+
+    def unpack(fmt, offset):
+        if len(blob) < offset + struct.calcsize(fmt):
+            raise DataError(f"{path}: truncated table header ({len(blob)} bytes)")
+        return struct.unpack_from(fmt, blob, offset)
+
+    (version,) = unpack("<I", 4)
     if version != _GBCT_VERSION:
         raise DataError(
             f"{path}: unsupported table format version {version} "
             f"(this build reads version {_GBCT_VERSION})"
         )
-    n_rows, d, n = struct.unpack_from("<III", blob, 8)
-    (seed,) = struct.unpack_from("<Q", blob, 20)
-    (name_len,) = struct.unpack_from("<H", blob, 28)
+    n_rows, d, n = unpack("<III", 8)
+    (seed,) = unpack("<Q", 20)
+    (name_len,) = unpack("<H", 28)
     name_end = 30 + name_len
-    simulator = blob[30:name_end].decode("utf-8")
+    if len(blob) < name_end:
+        raise DataError(f"{path}: truncated simulator name ({len(blob)} bytes)")
+    try:
+        simulator = blob[30:name_end].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: simulator name is not UTF-8: {exc}") from exc
     expected = n_rows * (d + n) * 8
     payload = blob[name_end:]
     if len(payload) != expected:

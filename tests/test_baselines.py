@@ -1,5 +1,7 @@
 """ABC rejection, fiducial rejection, Wasserstein helpers, line search."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -18,6 +20,8 @@ from gbc.baselines import (
 from gbc.models import NormalCoord, NormalLocationSimulator, PriorSpec
 from gbc.rng import RngStream
 from gbc.summaries import SummaryMap
+
+from fiducial_reference import per_draw_fiducial, scalar_golden_section
 
 
 def _mean_summary(n):
@@ -141,6 +145,92 @@ def test_golden_section_reports_iteration_cap():
     assert not converged
     with pytest.raises(ValueError):
         golden_section(lambda v: v, 1.0, 1.0)
+
+
+def test_golden_section_array_matches_scalar_loop():
+    # Brackets from 1e-9 wide (already converged) to 1e3 wide (capped at
+    # max_iter = 30 before reaching tol), minima inside, outside and on a
+    # plateau where f1 == f2 ties.
+    gen = RngStream(68).generator
+    lo = gen.uniform(-50.0, 50.0, size=64)
+    hi = lo + 10.0 ** gen.uniform(-9.0, 3.0, size=64)
+    centre = gen.uniform(-60.0, 60.0, size=64)
+
+    def fn(v, c=centre):
+        return np.maximum(np.abs(v - c), 0.25)
+
+    for max_iter in (200, 30):
+        x, converged = golden_section(fn, lo, hi, tol=1e-8, max_iter=max_iter)
+        for i in range(lo.size):
+            xr, okr = scalar_golden_section(
+                lambda v, c=centre[i]: max(abs(v - c), 0.25),
+                lo[i], hi[i], tol=1e-8, max_iter=max_iter,
+            )
+            assert x[i] == xr and bool(converged[i]) == okr
+        assert converged.any() and (max_iter == 200 or not converged.all())
+    x, converged = golden_section(lambda v: (v - 2.0) ** 2, 0.0, 5.0)
+    assert type(x) is float and type(converged) is bool
+    assert x == scalar_golden_section(lambda v: (v - 2.0) ** 2, 0.0, 5.0)[0]
+
+
+def _meanvar_problem(n=12):
+    y = RngStream(69).generator.normal(1.0, 2.0, size=n)
+    y_bar, s2 = float(np.mean(y)), float(np.var(y, ddof=1))
+
+    def G(u, th):
+        return np.array([th[0] + np.sqrt(th[1]) * u[0], th[1] * u[1]])
+
+    def sample_u(gen):
+        return np.array(
+            [gen.normal(0.0, math.sqrt(1.0 / n)), gen.gamma(n / 2.0, 2.0 / n)]
+        )
+
+    sd = math.sqrt(s2)
+    return dict(
+        G=G, sample_u=sample_u, y_obs=np.array([y_bar, s2]),
+        theta_bounds=[(y_bar - 12.0 * sd, y_bar + 12.0 * sd), (s2 / 50, s2 * 50)],
+    )
+
+
+def _scale_location_problem():
+    # 25 outputs, a fresh u vector per draw: sums of more than 8 squares.
+    y = 3.0 + 1.5 * RngStream(70).generator.normal(size=25)
+    return dict(
+        G=lambda u, theta: theta[0] + theta[1] * u,
+        sample_u=lambda gen: gen.normal(size=25),
+        y_obs=y,
+        theta_bounds=[(-10.0, 10.0), (0.1, 5.0)],
+    )
+
+
+@pytest.mark.parametrize(
+    "problem, options",
+    [
+        (dict(G=lambda u, th: np.array([th[0] + u]),
+              sample_u=lambda gen: float(gen.normal()),
+              y_obs=np.array([4.2]), theta_bounds=[(-7.8, 16.2)]),
+         dict(epsilon=np.inf, budget=300)),
+        (_meanvar_problem(), dict(epsilon=np.inf, budget=60)),
+        # Few sweeps and a tight epsilon: some draws are skipped, some
+        # rejected, the rest accepted.
+        (_meanvar_problem(), dict(epsilon=2e-9, budget=60, max_sweeps=5)),
+        (_scale_location_problem(),
+         dict(epsilon=1.4, budget=20, max_sweeps=6, normalize_dim=True)),
+    ],
+    ids=["location", "meanvar", "meanvar-skips", "scale-location"],
+)
+def test_fiducial_matches_per_draw_reference(problem, options):
+    batched = fiducial_rejection(rng=RngStream(71), **problem, **options)
+    reference = per_draw_fiducial(rng=RngStream(71), **problem, **options)
+    assert batched.thetas.shape == reference.thetas.shape
+    assert batched.thetas.tobytes() == reference.thetas.tobytes()
+    assert batched.n_draws == reference.n_draws
+    assert batched.n_accepted == reference.n_accepted
+    assert batched.n_skipped == reference.n_skipped
+    assert batched.acceptance_rate == reference.acceptance_rate
+    if "max_sweeps" in options:
+        assert 0 < batched.n_skipped
+        assert 0 < batched.n_accepted < batched.n_draws - batched.n_skipped
 
 
 def test_fiducial_location_model_matches_normal_law():

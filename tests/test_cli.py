@@ -274,3 +274,33 @@ def test_y_obs_must_be_single_row(smoke):
     )
     assert proc.returncode == 3
     assert "single observation row" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["sample", "abc"])
+def test_y_obs_of_wrong_length_is_data_error(smoke, command):
+    cfg, tmp = smoke
+    out = tmp / "out"
+    run_cli("gen-table", "--config", str(cfg), "--out", str(out))
+    assert run_cli("train", "--config", str(cfg), "--out", str(out)).returncode == 0
+    y_obs = tmp / "y.csv"
+    y_obs.write_text("1,2,3,4,5\n")
+    proc = run_cli(
+        command, "--config", str(cfg), "--out", str(out), "--y-obs", str(y_obs)
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "data error" in proc.stderr
+    assert "holds 5 values" in proc.stderr and "takes 6" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_linear_summary_error_is_labelled_in_sample(smoke):
+    cfg, tmp = smoke
+    out = tmp / "out"
+    run_cli("gen-table", "--config", str(cfg), "--out", str(out))
+    proc = run_cli("train", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "summary in-sample mse: " in proc.stdout
+    assert "holdout" not in proc.stdout
+    proc = run_cli("fit-summary", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "in-sample mse: " in proc.stdout

@@ -234,6 +234,17 @@ def test_binary_bad_version_is_structured_error():
         read_table_binary(path)
 
 
+def test_binary_truncated_prefixes_are_data_errors(tmp_path):
+    path = tmp_path / "table.gbct"
+    write_table_binary(path, _small_table())
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.gbct"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(DataError):
+            read_table_binary(cut)
+
+
 def test_csv_truncated_payload_detected():
     table = _small_table()
     path = "/tmp/gbc_trunc.csv"

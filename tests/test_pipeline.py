@@ -1,4 +1,5 @@
-"""Pipeline studies: what the epidemic benchmark reads from its config."""
+"""Pipeline studies: what the epidemic benchmark reads from its config and
+how its predictive check reduces replicate curves."""
 
 from pathlib import Path
 
@@ -66,3 +67,18 @@ def test_epidemic_benchmark_rejects_prior_outside_simulator_range():
     cfg.set("prior", "theta", NARROW_PRIOR.replace("uniform(2,4)", "uniform(0.5,4)"))
     with pytest.raises(ConfigError, match=r"\[prior\] theta: theta2"):
         pipeline.benchmark_epidemic(cfg, 3)
+
+
+def test_row_quantile_matches_numpy_quantile():
+    gen = np.random.default_rng(72)
+    # Integer counts with ties, as the predictive check sees them, and
+    # levels at both ends, at exact order statistics and in between.
+    counts = gen.integers(0, 40, size=(9, 100))
+    levels = np.array([0.0, 1.0, 0.5, 0.25, 1 / 99, 0.999999, 1e-12, 0.3, 0.73])
+    for rows in (np.sort(counts, axis=1), np.sort(gen.normal(size=(9, 100)), axis=1)):
+        got = pipeline._row_quantile(rows, levels)
+        for i in range(rows.shape[0]):
+            want = np.quantile(rows[i], levels[i], method="linear")
+            assert got[i].tobytes() == np.float64(want).tobytes()
+    single = pipeline._row_quantile(np.array([[3.0], [5.0]]), np.array([0.0, 1.0]))
+    assert np.array_equal(single, [3.0, 5.0])
