@@ -284,7 +284,9 @@ def cmd_fiducial(args) -> int:
     budget = cfg.get_int("fiducial", "budget", 10_000)
     rng = RngStream(seed).child("fiducial")
     if model == "location":
-        result = fiducial_location(float(y[0]), epsilon, budget, rng)
+        # The unit-variance location model sees the row through its mean,
+        # as benchmark-normal does.
+        result = fiducial_location(float(np.mean(y)), epsilon, budget, rng)
         header = ["theta_1"]
     elif model == "normal-meanvar":
         if y.size < 2:
@@ -395,10 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
+    def common(p):
         p.add_argument("--config", help="run configuration file (INI)")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="override the output directory")
+
+    def threads_option(p):
         p.add_argument(
             "--threads", type=int,
             help="worker threads for table generation (or env GBC_THREADS)",
@@ -406,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-table", help="simulate a reference table")
     common(p)
+    threads_option(p)
     p.add_argument("--table", help="output table path (overrides config)")
     p.set_defaults(fn=cmd_gen_table)
 
@@ -441,6 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare net, ABC, and fiducial against the conjugate closed form",
     )
     common(p)
+    threads_option(p)
     p.set_defaults(fn=cmd_benchmark_normal)
 
     p = sub.add_parser(

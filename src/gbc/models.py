@@ -283,33 +283,43 @@ def generate_reference_table(
     """Simulate an N-row reference table from prior x simulator.
 
     Rows are produced in blocks of ``block_size``; block b draws from
-    ``rng.child(b)``, so the result does not depend on ``threads``.
+    ``rng.child(b)`` and writes its own rows of the preallocated table, so
+    the result does not depend on ``threads``.
     """
     if n_rows < 1:
         raise ValueError("need at least one table row")
     n_blocks = (n_rows + block_size - 1) // block_size
+    thetas = np.empty((n_rows, prior.dim))
+    ys = np.empty((n_rows, simulator.y_dim))
 
     def run_block(b):
         start = b * block_size
         stop = min(n_rows, start + block_size)
         gen = rng.child(b).generator
-        thetas = prior.sample(gen, stop - start)
+        theta_block = prior.sample(gen, stop - start)
         try:
-            ys = simulator.simulate_batch(thetas, gen)
+            y_block = simulator.simulate_batch(theta_block, gen)
         except Exception as exc:
             raise DataError(
                 f"simulator {simulator.name!r} failed in rows [{start}, {stop}): {exc}"
             ) from exc
-        return thetas, ys
+        for name, block, out in (("prior", theta_block, thetas),
+                                  (f"simulator {simulator.name!r}", y_block, ys)):
+            want = (stop - start, out.shape[1])
+            if np.shape(block) != want:
+                raise DataError(
+                    f"{name} returned shape {np.shape(block)} for rows "
+                    f"[{start}, {stop}), expected {want}"
+                )
+            out[start:stop] = block
 
     if threads > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_block, range(n_blocks)))
+            list(pool.map(run_block, range(n_blocks)))
     else:
-        results = [run_block(b) for b in range(n_blocks)]
+        for b in range(n_blocks):
+            run_block(b)
 
-    thetas = np.vstack([r[0] for r in results])
-    ys = np.vstack([r[1] for r in results])
     return ReferenceTable(
         thetas=thetas,
         ys=ys,

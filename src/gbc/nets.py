@@ -6,6 +6,14 @@ All arrays are float64 numpy. Networks are small (a few layers of width
 ~64), so hand-written backprop is both fast enough and fully deterministic,
 which keeps checkpoints bit-exact across reruns.
 
+Training runs on one flat parameter buffer. :func:`flatten_parameters`
+copies every ``weight`` and ``bias`` of the trained holders (layers and
+embeddings) into one contiguous float64 vector and rebinds them as reshaped
+views of it, so the nets keep their usual shape-wise arrays while each
+minibatch step costs one optimizer update, one finiteness check and, in the
+averaged tail, one Polyak add on the whole vector. The gradients of a step
+are copied into one matching flat vector.
+
 Shape conventions: a layer maps ``(B, d_in) -> (B, d_out)`` via
 ``x @ weight + bias``; 1-D inputs are treated as a single row and squeezed
 on the way out. ``backward`` computes the gradient of the scalar
@@ -264,22 +272,40 @@ class Adam:
         self.step_count = 0
         self._m = None
         self._v = None
+        self._scratch = None
 
     def step(self, params, grads):
+        """One in-place update of every block in ``params``.
+
+        Each block takes ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``,
+        evaluated op by op in that order into two scratch blocks: the bits
+        of the expression without its temporaries.
+        """
         _check_grads(params, grads)
         if self._m is None:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
+            self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - self.beta1**t
         c2 = 1.0 - self.beta2**t
-        for p, g, m, v in zip(params, grads, self._m, self._v):
+        blocks = zip(params, grads, self._m, self._v, self._scratch)
+        for p, g, m, v, (num, den) in blocks:
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=num)
+            m += num
             v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.square(g, out=num)
+            num *= 1.0 - self.beta2
+            v += num
+            np.divide(v, c2, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            np.divide(m, c1, out=num)
+            num *= self.lr
+            num /= den
+            p -= num
 
 
 def _check_grads(params, grads):
@@ -335,24 +361,48 @@ class OptimizerSpec:
         raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
 
 
-def train_minibatch(
-    params, spec: OptimizerSpec, n, gen, batch_step, what, draw_epoch=None
-):
-    """Minibatch training of ``params`` in place; returns per-epoch mean loss.
+def flatten_parameters(holders) -> np.ndarray:
+    """Copy the ``weight`` and ``bias`` of each holder, in order, into one
+    contiguous float64 vector and rebind them as reshaped views of it.
 
-    Each epoch sets the learning rate from ``spec``, calls ``draw_epoch(gen)``
-    when given (per-row draws shared by the epoch's batches), shuffles the
-    ``n`` rows with ``gen`` and takes one optimizer step per batch.
+    Returns the vector; writing to it updates every holder in place. The
+    order matches :meth:`FeedForwardNet.parameters` when ``holders`` are a
+    net's layers.
+    """
+    flat = np.concatenate([a.ravel() for h in holders for a in (h.weight, h.bias)])
+    offset = 0
+    for h in holders:
+        for name in ("weight", "bias"):
+            a = getattr(h, name)
+            setattr(h, name, flat[offset : offset + a.size].reshape(a.shape))
+            offset += a.size
+    return flat
+
+
+def train_minibatch(
+    holders, spec: OptimizerSpec, n, gen, batch_step, what, draw_epoch=None
+):
+    """Minibatch training of ``holders`` in place; returns per-epoch mean loss.
+
+    ``holders`` are the objects whose ``weight`` and ``bias`` are trained
+    (layers, embeddings); they become views into one flat parameter vector
+    (:func:`flatten_parameters`) and stay so after training. Each epoch sets
+    the learning rate from ``spec``, calls ``draw_epoch(gen)`` when given
+    (per-row draws shared by the epoch's batches), shuffles the ``n`` rows
+    with ``gen`` and takes one optimizer step per batch.
     ``batch_step(idx, drawn)`` returns ``(loss summed over the batch rows,
-    gradients aligned with params)``. The epoch loss is that sum over all
-    rows divided by ``n``. Over the final ``spec.average_tail`` fraction of
-    epochs the end-of-epoch parameters are averaged (Polyak), and ``params``
-    end at that average. A non-finite gradient or epoch loss raises
-    :class:`TrainingDivergence` carrying the epoch; ``what`` names the
-    training in its message.
+    gradients [dW, db, ...] in holder order)``. The epoch loss is that sum
+    over all rows divided by ``n``. Over the final ``spec.average_tail``
+    fraction of epochs the end-of-epoch parameters are averaged (Polyak),
+    and the parameters end at that average. A non-finite gradient or epoch
+    loss raises :class:`TrainingDivergence` carrying the epoch; ``what``
+    names the training in its message.
     """
     if not 0.0 <= spec.average_tail <= 1.0:
         raise ValueError("average_tail must lie in [0, 1]")
+    flat = flatten_parameters(holders)
+    shapes = [a.shape for h in holders for a in (h.weight, h.bias)]
+    flat_grad = np.empty_like(flat)
     optimizer = spec.build()
     losses = np.empty(spec.epochs)
     # Pinball gradients stay O(1) at the optimum, so the iterates never stop
@@ -368,8 +418,14 @@ def train_minibatch(
         for start in range(0, n, spec.batch_size):
             loss, grads = batch_step(perm[start : start + spec.batch_size], drawn)
             loss_sum += loss
+            if [g.shape for g in grads] != shapes:
+                raise ValueError(
+                    f"{what} gradient shapes {[g.shape for g in grads]} do not "
+                    f"match parameter shapes {shapes}"
+                )
+            np.concatenate([g.ravel() for g in grads], out=flat_grad)
             try:
-                optimizer.step(params, grads)
+                optimizer.step([flat], [flat_grad])
             except TrainingDivergence as exc:
                 raise TrainingDivergence(
                     f"{what} training produced a non-finite gradient "
@@ -384,12 +440,10 @@ def train_minibatch(
             )
         if epoch >= avg_start:
             if avg_sum is None:
-                avg_sum = [p.copy() for p in params]
+                avg_sum = flat.copy()
             else:
-                for acc, p in zip(avg_sum, params):
-                    acc += p
+                avg_sum += flat
             n_avg += 1
     if n_avg > 0:
-        for p, acc in zip(params, avg_sum):
-            p[...] = acc / n_avg
+        np.divide(avg_sum, n_avg, out=flat)
     return losses

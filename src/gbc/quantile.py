@@ -187,8 +187,6 @@ def train_iqn(
         target_mean=t_mean, target_sd=t_sd,
     )
 
-    params = psi.parameters() + phi.parameters() + g.parameters()
-
     def batch_step(idx, taus):
         tb, taub = t[idx], taus[idx]
         a, cache_psi = psi.forward_cached(x[idx])
@@ -207,8 +205,9 @@ def train_iqn(
     n = x.shape[0]
     # Each epoch draws a fresh quantile level per row before shuffling.
     losses = train_minibatch(
-        params, opt, n, rng.child("train-shuffle").generator, batch_step,
-        "quantile", draw_epoch=lambda gen: gen.uniform(size=n),
+        [*psi.layers, phi, *g.layers], opt, n,
+        rng.child("train-shuffle").generator, batch_step, "quantile",
+        draw_epoch=lambda gen: gen.uniform(size=n),
     )
     return net, losses * t_sd  # pinball scales linearly
 

@@ -162,7 +162,7 @@ def fit_posterior_mean_net(
         return loss, grads
 
     losses = train_minibatch(
-        net.parameters(), spec, x_train.shape[0],
+        net.layers, spec, x_train.shape[0],
         rng.child("summary-shuffle").generator, batch_step, "summary",
     )
 

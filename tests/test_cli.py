@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gbc.models import read_table_csv
+from gbc.rng import RngStream
 
 SMOKE_CONFIG = """\
 [run]
@@ -248,6 +249,34 @@ def test_fiducial_smoke_location_model(smoke):
     rows = (out / "fiducial_draws.csv").read_text().splitlines()
     assert rows[0] == "theta_1"
     assert len(rows) == 41
+
+
+def test_fiducial_location_model_uses_the_row_mean(smoke):
+    # A 100-value row and a one-value row holding its mean give the same draws.
+    cfg, tmp = smoke
+    cfg.write_text(cfg.read_text() + "\n[fiducial]\nmodel = location\nbudget = 40\n")
+    values = RngStream(6).generator.normal(2.3, 3.0, size=100)
+    rows = {"many": ",".join(repr(float(v)) for v in values),
+            "mean": repr(float(np.mean(values)))}
+    draws = {}
+    for name, row in rows.items():
+        (tmp / f"{name}.csv").write_text(row + "\n")
+        out = tmp / name
+        proc = run_cli(
+            "fiducial", "--config", str(cfg), "--out", str(out),
+            "--y-obs", str(tmp / f"{name}.csv"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        draws[name] = (out / "fiducial_draws.csv").read_bytes()
+    assert draws["many"] == draws["mean"]
+
+
+def test_threads_is_rejected_where_unused(smoke):
+    cfg, tmp = smoke
+    proc = run_cli("sample", "--config", str(cfg), "--out", str(tmp), "--threads", "2")
+    assert proc.returncode == 2
+    assert "--threads" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_gradcheck_passes_and_reports(smoke):

@@ -118,6 +118,41 @@ def test_reference_table_thread_invariance():
     assert np.array_equal(serial.ys, threaded.ys)
 
 
+def test_reference_table_fills_blocks_in_place():
+    # Blocks written into the preallocated table, serially or threaded,
+    # give the bytes of simulating every block and stacking them.
+    prior = PriorSpec((NormalCoord(0.0, 2.0), UniformCoord(1.0, 3.0)))
+    sim = NormalLocationSimulator(noise_var=1.0, n_obs=5)
+    rng = RngStream(9)
+    blocks = []
+    for b in range(4):
+        gen = rng.child(b).generator
+        thetas = prior.sample(gen, min(300, 1000 - 300 * b))
+        blocks.append((thetas, sim.simulate_batch(thetas, gen)))
+    want_thetas = np.vstack([t for t, _ in blocks])
+    want_ys = np.vstack([y for _, y in blocks])
+    for threads in (1, 2):
+        table = generate_reference_table(prior, sim, 1000, rng, block_size=300, threads=threads)
+        assert table.thetas.tobytes() == want_thetas.tobytes()
+        assert table.ys.tobytes() == want_ys.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_simulator_of_wrong_shape_is_data_error(threads):
+    class ShortRowSim:
+        name = "short-rows"
+        y_dim = 4
+
+        def simulate_batch(self, thetas, gen):
+            return gen.normal(size=(thetas.shape[0], 1))  # broadcastable to y_dim
+
+    prior = PriorSpec((NormalCoord(0.0, 1.0),))
+    with pytest.raises(DataError, match="shape"):
+        generate_reference_table(
+            prior, ShortRowSim(), 50, RngStream(3), block_size=20, threads=threads
+        )
+
+
 def test_single_row_table():
     prior = PriorSpec((NormalCoord(1.0, 1.0),))
     sim = NormalLocationSimulator(noise_var=1.0, n_obs=3)

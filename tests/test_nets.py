@@ -9,6 +9,7 @@ from gbc.nets import (
     Layer,
     SgdMomentum,
     finite_difference_gradients,
+    flatten_parameters,
     gradient_check,
     run_gradient_check,
 )
@@ -170,3 +171,15 @@ def test_invalid_hyperparameters_rejected():
         SgdMomentum(lr=0.1, momentum=1.0)
     with pytest.raises(ValueError):
         Adam(lr=0.0)
+
+
+def test_flatten_parameters_rebinds_views_into_one_vector():
+    net = FeedForwardNet.create([3, 5, 2], RngStream(71))
+    before = [p.copy() for p in net.parameters()]
+    flat = flatten_parameters(net.layers)
+    assert flat.size == sum(p.size for p in before)
+    assert np.array_equal(flat, np.concatenate([p.ravel() for p in before]))
+    for p, old in zip(net.parameters(), before):
+        assert np.shares_memory(p, flat) and np.array_equal(p, old)
+    flat += 1.0
+    assert np.array_equal(net.layers[1].bias, before[3] + 1.0)

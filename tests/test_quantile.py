@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from gbc import quantile
 from gbc.analytic import NormalNormalModel, conjugate_posterior
 from gbc.errors import TrainingDivergence
 from gbc.models import ReferenceTable
@@ -27,6 +28,7 @@ from quantile_helpers import (
     cosine_embed,
     sample_posterior,
 )
+from training_reference import reference_train_minibatch
 
 
 def _identity_summary(n=1):
@@ -234,6 +236,46 @@ def test_train_iqn_validates_inputs():
     bad_tail = OptimizerSpec(epochs=2, average_tail=1.5)
     with pytest.raises(ValueError, match="average_tail"):
         train_iqn(table, _identity_summary(), 0, _SMALL_SPEC, bad_tail, RngStream(0))
+
+
+def _iqn_arrays(net):
+    return [a for part in (net.psi.layers, [net.phi], net.g.layers)
+            for h in part for a in (h.weight, h.bias)]
+
+
+def _two_param_table(n_rows, seed):
+    gen = RngStream(seed).generator
+    thetas = gen.normal(0.0, 1.0, size=(n_rows, 2))
+    ys = thetas @ np.array([[1.0, 0.3], [0.0, 1.0]]) + 0.4 * gen.normal(size=(n_rows, 2))
+    return ReferenceTable(thetas=thetas, ys=ys, seed=seed, simulator="normal-location")
+
+
+@pytest.mark.parametrize(
+    "method, average_tail, coordinate",
+    [("adam", 0.2, 0), ("sgd", 0.0, 0), ("adam", 0.0, 1), ("sgd", 0.2, 1)],
+)
+def test_train_iqn_matches_per_block_reference(monkeypatch, method, average_tail, coordinate):
+    # Coordinate 0 of a one-parameter table conditions on one value, 256
+    # rows in whole batches; coordinate 1 of a two-parameter table
+    # conditions on three, 203 rows with a ragged last batch.
+    if coordinate == 0:
+        table, summary = _toy_table(256, seed=41), _identity_summary()
+    else:
+        table, summary = _two_param_table(203, seed=42), _identity_summary(2)
+    opt = OptimizerSpec(method=method, lr=3e-3, epochs=10, batch_size=64,
+                        average_tail=average_tail)
+    net, losses = train_iqn(table, summary, coordinate, _SMALL_SPEC, opt, RngStream(43))
+    monkeypatch.setattr(quantile, "train_minibatch", reference_train_minibatch)
+    ref, ref_losses = train_iqn(table, summary, coordinate, _SMALL_SPEC, opt, RngStream(43))
+    assert net.cond_dim == (1 if coordinate == 0 else 3)
+    assert losses.tobytes() == ref_losses.tobytes()
+    for a, b in zip(_iqn_arrays(net), _iqn_arrays(ref)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    # The trained net keeps its arrays as views into one flat buffer.
+    arrays = _iqn_arrays(net)
+    buffer = arrays[0].base
+    assert buffer.size == sum(a.size for a in arrays)
+    assert all(np.shares_memory(buffer, a) for a in arrays)
 
 
 def test_train_iqn_divergence_is_reported_with_epoch():

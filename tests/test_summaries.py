@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gbc import summaries
 from gbc.errors import TrainingDivergence
 from gbc.models import (
     NormalCoord,
@@ -18,6 +19,7 @@ from gbc.summaries import (
     fit_linear_summary,
     fit_posterior_mean_net,
 )
+from training_reference import reference_train_minibatch
 
 
 def _table_from_arrays(thetas, ys, seed=0):
@@ -205,3 +207,24 @@ def test_apply_summary_checks_dimension_and_handles_vectors():
 def test_summary_map_rejects_unknown_kind():
     with pytest.raises(ValueError, match="kind"):
         SummaryMap(kind="quadratic")
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_network_summary_matches_per_block_reference(monkeypatch, optimizer):
+    # 150 rows: a 135-row training split, so the last batch of 32 is ragged.
+    gen = RngStream(25).generator
+    thetas = gen.normal(size=(150, 2))
+    ys = np.hstack([thetas, thetas.sum(axis=1, keepdims=True)]) + 0.3 * gen.normal(size=(150, 3))
+    table = _table_from_arrays(thetas, ys)
+    kwargs = dict(hidden=(16, 8), epochs=12, batch_size=32, lr=3e-3, optimizer=optimizer)
+    fit = fit_posterior_mean_net(table, RngStream(26), **kwargs)
+    monkeypatch.setattr(summaries, "train_minibatch", reference_train_minibatch)
+    ref = fit_posterior_mean_net(table, RngStream(26), **kwargs)
+    assert fit.train_losses.tobytes() == ref.train_losses.tobytes()
+    assert fit.holdout_loss == ref.holdout_loss
+    net, ref_net = fit.summary.net, ref.summary.net
+    for a, b in zip(net.parameters(), ref_net.parameters()):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    buffer = net.parameters()[0].base
+    assert buffer.size == sum(p.size for p in net.parameters())
+    assert all(np.shares_memory(buffer, p) for p in net.parameters())
