@@ -59,14 +59,7 @@ class AbcResult:
 
 def _summarize(cfg: AbcConfig, ys):
     ys = np.asarray(ys, dtype=np.float64)
-    batch = ys if ys.ndim == 2 else ys[None, :]
-    if cfg.summary is None:
-        out = batch
-    else:
-        out = apply_summary(cfg.summary, batch)
-        if out.ndim == 1:
-            out = out[:, None]
-    return out if ys.ndim == 2 else out[0]
+    return ys if cfg.summary is None else apply_summary(cfg.summary, ys)
 
 
 def _abc_pool(simulator, prior, y_obs, cfg, budget, rng, block_size):
@@ -80,23 +73,15 @@ def _abc_pool(simulator, prior, y_obs, cfg, budget, rng, block_size):
         raise ValueError("need a positive proposal budget")
     s_obs = _summarize(cfg, np.asarray(y_obs, dtype=np.float64))
     thetas = np.empty((budget, prior.dim))
-    summaries = None
-    scale = None
+    summaries = np.empty((budget, s_obs.shape[0]))
     n_blocks = (budget + block_size - 1) // block_size
-    filled = 0
     for b in range(n_blocks):
         start = b * block_size
         stop = min(budget, start + block_size)
         gen = rng.child(b).generator
         th = prior.sample(gen, stop - start)
-        ys = simulator.simulate_batch(th, gen)
-        s = _summarize(cfg, ys)
-        if summaries is None:
-            summaries = np.empty((budget, s.shape[1]))
         thetas[start:stop] = th
-        summaries[start:stop] = s
-        filled = stop
-    assert filled == budget
+        summaries[start:stop] = _summarize(cfg, simulator.simulate_batch(th, gen))
     if cfg.standardize:
         first = summaries[: min(budget, block_size)]
         scale = first.std(axis=0)

@@ -8,12 +8,12 @@ float64, so load(save(x)) reproduces every parameter bit-exactly.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
+from .formats import BinaryReader, BinaryWriter
 from .nets import FeedForwardNet, Layer, IDENTITY, RELU
 from .quantile import AutoregressiveQuantileModel, CosineEmbedding, ImplicitQuantileNet
 from .summaries import SummaryMap
@@ -36,196 +36,112 @@ class Checkpoint:
         return AutoregressiveQuantileModel(summary=self.summary, nets=self.nets)
 
 
-class _Writer:
-    def __init__(self):
-        self.chunks = []
-
-    def u8(self, v):
-        self.chunks.append(struct.pack("<B", v))
-
-    def u32(self, v):
-        self.chunks.append(struct.pack("<I", v))
-
-    def u64(self, v):
-        self.chunks.append(struct.pack("<Q", v))
-
-    def f64(self, v):
-        self.chunks.append(struct.pack("<d", v))
-
-    def raw(self, b):
-        self.chunks.append(bytes(b))
-
-    def array(self, a):
-        a = np.ascontiguousarray(a, dtype="<f8")
-        self.chunks.append(a.tobytes())
-
-    def blob(self):
-        return b"".join(self.chunks)
-
-
-class _Reader:
-    def __init__(self, blob, path):
-        self.blob = blob
-        self.pos = 0
-        self.path = path
-
-    def take(self, n):
-        if self.pos + n > len(self.blob):
-            raise DataError(f"{self.path}: checkpoint truncated at byte {self.pos}")
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self):
-        return struct.unpack("<B", self.take(1))[0]
-
-    def u32(self):
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self):
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def f64(self):
-        return struct.unpack("<d", self.take(8))[0]
-
-    def array(self, *shape):
-        count = 1
-        for s in shape:
-            count *= s
-        data = np.frombuffer(self.take(count * 8), dtype="<f8")
-        return data.reshape(*shape).copy()
-
-
-def _write_net(w: _Writer, net: FeedForwardNet):
-    w.u32(len(net.layers))
+def _write_net(w: BinaryWriter, net: FeedForwardNet):
+    w.pack("I", len(net.layers))
     for lay in net.layers:
-        d_in, d_out = lay.weight.shape
-        w.u32(d_in)
-        w.u32(d_out)
-        w.u8(_ACT_CODE[lay.activation])
+        w.pack("IIB", *lay.weight.shape, _ACT_CODE[lay.activation])
         w.array(lay.weight)
         w.array(lay.bias)
 
 
-def _read_net(r: _Reader) -> FeedForwardNet:
-    n_layers = r.u32()
+def _read_net(r: BinaryReader) -> FeedForwardNet:
+    (n_layers,) = r.unpack("I")
+    if n_layers == 0:
+        raise DataError(f"{r.path}: a net in the checkpoint has no layers")
     layers = []
     for _ in range(n_layers):
-        d_in, d_out = r.u32(), r.u32()
-        code = r.u8()
+        d_in, d_out, code = r.unpack("IIB")
+        if layers and d_in != layers[-1].weight.shape[1]:
+            raise DataError(
+                f"{r.path}: layer input dim {d_in} does not match the previous "
+                f"layer's output dim {layers[-1].weight.shape[1]}"
+            )
         if code not in _ACT_NAME:
             raise DataError(f"{r.path}: unknown activation code {code}")
-        weight = r.array(d_in, d_out)
-        bias = r.array(d_out)
-        layers.append(Layer(weight, bias, _ACT_NAME[code]))
+        layers.append(Layer(r.array(d_in, d_out), r.array(d_out), _ACT_NAME[code]))
     return FeedForwardNet(layers)
 
 
-def _write_summary(w: _Writer, s: SummaryMap):
-    w.u8(0 if s.kind == "linear" else 1)
-    w.u8(1 if s.log1p_inputs else 0)
+def _write_summary(w: BinaryWriter, s: SummaryMap):
+    w.pack("BB", s.kind == "network", bool(s.log1p_inputs))
     if s.kind == "linear":
-        k, n = s.matrix.shape
-        w.u32(k)
-        w.u32(n)
+        w.pack("II", *s.matrix.shape)
         w.array(s.matrix)
         w.array(s.intercept)
     else:
         _write_net(w, s.net)
-        n = s.input_mean.shape[0]
-        k = s.output_mean.shape[0]
-        w.u32(n)
+        w.pack("I", s.input_mean.shape[0])
         w.array(s.input_mean)
         w.array(s.input_sd)
-        w.u32(k)
+        w.pack("I", s.output_mean.shape[0])
         w.array(s.output_mean)
         w.array(s.output_sd)
 
 
-def _read_summary(r: _Reader) -> SummaryMap:
-    kind = "linear" if r.u8() == 0 else "network"
-    log1p = bool(r.u8())
-    if kind == "linear":
-        k, n = r.u32(), r.u32()
-        matrix = r.array(k, n)
-        intercept = r.array(k)
+def _read_summary(r: BinaryReader) -> SummaryMap:
+    network, log1p = r.unpack("BB")
+    if network > 1 or log1p > 1:
+        raise DataError(
+            f"{r.path}: summary kind and log1p bytes are {network}, {log1p}; "
+            "expected 0 or 1"
+        )
+    if not network:
+        k, n = r.unpack("II")
         return SummaryMap(
-            kind="linear", log1p_inputs=log1p, matrix=matrix, intercept=intercept
+            kind="linear", log1p_inputs=bool(log1p),
+            matrix=r.array(k, n), intercept=r.array(k),
         )
     net = _read_net(r)
-    n = r.u32()
-    input_mean = r.array(n)
-    input_sd = r.array(n)
-    k = r.u32()
-    output_mean = r.array(k)
-    output_sd = r.array(k)
+    (n,) = r.unpack("I")
+    input_mean, input_sd = r.array(n), r.array(n)
+    (k,) = r.unpack("I")
     return SummaryMap(
         kind="network",
-        log1p_inputs=log1p,
+        log1p_inputs=bool(log1p),
         net=net,
         input_mean=input_mean,
         input_sd=input_sd,
-        output_mean=output_mean,
-        output_sd=output_sd,
+        output_mean=r.array(k),
+        output_sd=r.array(k),
     )
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     if len(ckpt.config_hash) != 32:
         raise ValueError("config hash must be 32 bytes")
-    w = _Writer()
-    w.raw(MAGIC)
-    w.u32(VERSION)
-    w.u64(int(ckpt.table_seed))
-    w.raw(ckpt.config_hash)
-    _write_summary(w, ckpt.summary)
-    w.u32(len(ckpt.nets))
-    for net in ckpt.nets:
-        _write_net(w, net.psi)
-        w.u32(net.phi.n_cos)
-        w.u32(net.phi.out_dim)
-        w.array(net.phi.weight)
-        w.array(net.phi.bias)
-        _write_net(w, net.g)
-        w.u32(net.cond_mean.shape[0])
-        w.array(net.cond_mean)
-        w.array(net.cond_sd)
-        w.f64(net.target_mean)
-        w.f64(net.target_sd)
     with open(path, "wb") as fh:
-        fh.write(w.blob())
+        w = BinaryWriter(fh, MAGIC, VERSION)
+        w.pack("Q", int(ckpt.table_seed))
+        w.raw(ckpt.config_hash)
+        _write_summary(w, ckpt.summary)
+        w.pack("I", len(ckpt.nets))
+        for net in ckpt.nets:
+            _write_net(w, net.psi)
+            w.pack("II", net.phi.n_cos, net.phi.out_dim)
+            w.array(net.phi.weight)
+            w.array(net.phi.bias)
+            _write_net(w, net.g)
+            w.pack("I", net.cond_mean.shape[0])
+            w.array(net.cond_mean)
+            w.array(net.cond_sd)
+            w.pack("dd", net.target_mean, net.target_sd)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    r = _Reader(blob, str(path))
-    if r.take(4) != MAGIC:
-        raise DataError(f"{path} is not a model checkpoint (bad magic)")
-    version = r.u32()
-    if version != VERSION:
-        raise DataError(
-            f"{path}: unsupported checkpoint format version {version} "
-            f"(this build reads version {VERSION})"
-        )
-    table_seed = r.u64()
-    config_hash = r.take(32)
+    r = BinaryReader(path, MAGIC, VERSION, "model checkpoint")
+    (table_seed,) = r.unpack("Q")
+    config_hash = r.raw(32)
     summary = _read_summary(r)
-    n_nets = r.u32()
+    (n_nets,) = r.unpack("I")
     nets = []
     for _ in range(n_nets):
         psi = _read_net(r)
-        n_cos, m = r.u32(), r.u32()
+        n_cos, m = r.unpack("II")
         phi = CosineEmbedding(r.array(n_cos, m), r.array(m))
         g = _read_net(r)
-        cond_dim = r.u32()
-        cond_mean = r.array(cond_dim)
-        cond_sd = r.array(cond_dim)
-        target_mean = r.f64()
-        target_sd = r.f64()
+        (cond_dim,) = r.unpack("I")
+        cond_mean, cond_sd = r.array(cond_dim), r.array(cond_dim)
+        target_mean, target_sd = r.unpack("dd")
         nets.append(
             ImplicitQuantileNet(
                 psi=psi, phi=phi, g=g,
@@ -233,8 +149,7 @@ def load_checkpoint(path) -> Checkpoint:
                 target_mean=target_mean, target_sd=target_sd,
             )
         )
-    if r.pos != len(blob):
-        raise DataError(f"{path}: {len(blob) - r.pos} trailing bytes in checkpoint")
+    r.finish()
     return Checkpoint(
         summary=summary, nets=nets, table_seed=table_seed, config_hash=config_hash
     )

@@ -37,6 +37,7 @@ from .baselines import (
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import RunConfig, prior_from_config, simulator_params
 from .errors import ConfigError, DataError, GbcError
+from .formats import fmt_value, read_csv, write_csv
 from .models import (
     make_simulator,
     read_table_binary,
@@ -52,11 +53,9 @@ from .pipeline import (
     benchmark_normal,
     build_table,
     fit_summary,
-    fmt_value,
     holdout_csv_rows,
     run_seed,
     train_chain,
-    write_csv,
 )
 from .rng import RngStream
 from .summaries import mean_summary
@@ -68,20 +67,6 @@ def _load_config(args) -> RunConfig:
     if not args.config:
         raise ConfigError("this command needs --config PATH")
     return RunConfig.from_file(args.config)
-
-
-def _resolve_threads(args, cfg: RunConfig | None) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("GBC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"GBC_THREADS must be an integer, got {env!r}") from exc
-    if cfg is not None and cfg.has("run", "threads"):
-        return max(1, cfg.get_int("run", "threads"))
-    return 1
 
 
 def _out_dir(args, cfg: RunConfig) -> Path:
@@ -108,12 +93,7 @@ def _read_table(path: Path):
 
 def _read_vector(path, size=None) -> np.ndarray:
     """The single observation row of a CSV file; ``size`` values if given."""
-    try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    except OSError as exc:
-        raise DataError(f"cannot read data file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"cannot parse data file {path}: {exc}") from exc
+    _, data = read_csv(path)
     if data.shape[0] != 1:
         raise DataError(
             f"{path} holds {data.shape[0]} rows; expected a single observation row"
@@ -134,7 +114,7 @@ def cmd_gen_table(args) -> int:
     cfg = _load_config(args)
     seed = run_seed(cfg, args.seed)
     out = _out_dir(args, cfg)
-    table = build_table(cfg, seed, threads=_resolve_threads(args, cfg))
+    table = build_table(cfg, seed, threads=args.threads or 1)
     path = _table_path(args, cfg, out)
     if path.suffix == ".csv":
         write_table_csv(path, table)
@@ -335,7 +315,7 @@ def cmd_benchmark_normal(args) -> int:
     cfg = _load_config(args)
     seed = run_seed(cfg, args.seed)
     out = _out_dir(args, cfg)
-    result = benchmark_normal(cfg, seed, threads=_resolve_threads(args, cfg))
+    result = benchmark_normal(cfg, seed, threads=args.threads or 1)
     write_csv(out / "benchmark_normal.csv", NORMAL_REPORT_HEADER, result.rows)
     write_csv(
         out / "posterior.csv",
@@ -405,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     def threads_option(p):
         p.add_argument(
             "--threads", type=int,
-            help="worker threads for table generation (or env GBC_THREADS)",
+            help="worker threads for table generation (default 1)",
         )
 
     p = sub.add_parser("gen-table", help="simulate a reference table")

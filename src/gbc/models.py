@@ -9,13 +9,13 @@ run (and regenerable from seed + config alone).
 
 from __future__ import annotations
 
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .formats import BinaryReader, BinaryWriter, read_csv, write_csv
 from .rng import RngStream
 
 # Parameter box for the epidemic scenario coordinates theta1..theta5:
@@ -351,46 +351,31 @@ def quantile_index_replicates(curves, probs=EPIDEMIC_QUANTILE_PROBS):
 
 # ---------------------------------------------------------------------------
 # Persistence. CSV: one metadata header line "N,d,n,seed,simulator", then one
-# line per row with the theta coordinates followed by the y coordinates,
-# printed to 17 significant digits (lossless for float64). Binary: magic
-# "GBCT", little-endian header, float64 row-major payload.
+# line per row with the theta coordinates followed by the y coordinates.
+# Binary: magic "GBCT", version, u32 N, d, n, u64 seed, u16-prefixed UTF-8
+# simulator name, then the rows as a float64 row-major payload.
 
 _GBCT_MAGIC = b"GBCT"
 _GBCT_VERSION = 1
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def write_table_csv(path, table: ReferenceTable) -> None:
-    rows = np.hstack([table.thetas, table.ys])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            f"{table.n_rows},{table.theta_dim},{table.y_dim},"
-            f"{table.seed},{table.simulator}\n"
-        )
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row))
-            fh.write("\n")
+    write_csv(
+        path,
+        [table.n_rows, table.theta_dim, table.y_dim, table.seed, table.simulator],
+        np.hstack([table.thetas, table.ys]),
+    )
 
 
 def read_table_csv(path) -> ReferenceTable:
+    header, data = read_csv(path, header=True)
+    *dims, simulator = header
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            parts = header.split(",")
-            if len(parts) != 5:
-                raise DataError(f"malformed table header in {path}: {header!r}")
-            try:
-                n_rows, d, n = int(parts[0]), int(parts[1]), int(parts[2])
-                seed = int(parts[3])
-            except ValueError as exc:
-                raise DataError(f"malformed table header in {path}: {header!r}") from exc
-            simulator = parts[4]
-            data = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
-    except OSError as exc:
-        raise DataError(f"cannot read table file {path}: {exc}") from exc
+        n_rows, d, n, seed = map(int, dims)
+    except ValueError as exc:
+        raise DataError(
+            f"malformed table header in {path}: {','.join(header)!r}"
+        ) from exc
     if data.shape != (n_rows, d + n):
         raise DataError(
             f"table {path} promises {n_rows}x{d + n} values, found {data.shape}"
@@ -402,56 +387,24 @@ def read_table_csv(path) -> ReferenceTable:
 
 def write_table_binary(path, table: ReferenceTable) -> None:
     name = table.simulator.encode("utf-8")
-    payload = np.ascontiguousarray(
-        np.hstack([table.thetas, table.ys]), dtype="<f8"
-    )
     with open(path, "wb") as fh:
-        fh.write(_GBCT_MAGIC)
-        fh.write(struct.pack("<I", _GBCT_VERSION))
-        fh.write(struct.pack("<III", table.n_rows, table.theta_dim, table.y_dim))
-        fh.write(struct.pack("<Q", table.seed))
-        fh.write(struct.pack("<H", len(name)))
-        fh.write(name)
-        fh.write(payload.tobytes())
+        w = BinaryWriter(fh, _GBCT_MAGIC, _GBCT_VERSION)
+        w.pack(
+            "IIIQH", table.n_rows, table.theta_dim, table.y_dim, table.seed, len(name)
+        )
+        w.raw(name)
+        w.array(np.hstack([table.thetas, table.ys]))
 
 
 def read_table_binary(path) -> ReferenceTable:
+    r = BinaryReader(path, _GBCT_MAGIC, _GBCT_VERSION, "reference table")
+    n_rows, d, n, seed, name_len = r.unpack("IIIQH")
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read table file {path}: {exc}") from exc
-    if blob[:4] != _GBCT_MAGIC:
-        raise DataError(f"{path} is not a reference-table file (bad magic)")
-
-    def unpack(fmt, offset):
-        if len(blob) < offset + struct.calcsize(fmt):
-            raise DataError(f"{path}: truncated table header ({len(blob)} bytes)")
-        return struct.unpack_from(fmt, blob, offset)
-
-    (version,) = unpack("<I", 4)
-    if version != _GBCT_VERSION:
-        raise DataError(
-            f"{path}: unsupported table format version {version} "
-            f"(this build reads version {_GBCT_VERSION})"
-        )
-    n_rows, d, n = unpack("<III", 8)
-    (seed,) = unpack("<Q", 20)
-    (name_len,) = unpack("<H", 28)
-    name_end = 30 + name_len
-    if len(blob) < name_end:
-        raise DataError(f"{path}: truncated simulator name ({len(blob)} bytes)")
-    try:
-        simulator = blob[30:name_end].decode("utf-8")
+        simulator = r.raw(name_len).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: simulator name is not UTF-8: {exc}") from exc
-    expected = n_rows * (d + n) * 8
-    payload = blob[name_end:]
-    if len(payload) != expected:
-        raise DataError(
-            f"{path}: payload holds {len(payload)} bytes, expected {expected}"
-        )
-    data = np.frombuffer(payload, dtype="<f8").reshape(n_rows, d + n)
+    data = r.view(n_rows, d + n)
+    r.finish()
     return ReferenceTable(
         thetas=data[:, :d].copy(), ys=data[:, d:].copy(),
         seed=seed, simulator=simulator,

@@ -32,6 +32,9 @@ from .config import (
 )
 from .design import lhs_sample
 from .errors import ConfigError
+# write_csv is unused here but kept importable as pipeline.write_csv: the
+# benchmark harness writes its loss-trace digest through it.
+from .formats import write_csv  # noqa: F401
 from .models import (
     EPIDEMIC_QUANTILE_PROBS,
     NormalCoord,
@@ -149,25 +152,6 @@ def train_chain(cfg: RunConfig, table: ReferenceTable, summary: SummaryMap, seed
         config_hash=cfg.config_hash(),
     )
     return ckpt, np.column_stack(traces)
-
-
-# ---------------------------------------------------------------------------
-# CSV helpers (17 significant digits: lossless float64 round-trip).
-
-
-def fmt_value(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
-
-
-def write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt_value(v) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -142,14 +142,19 @@ def test_missing_table_is_data_error(smoke):
     assert "not found" in proc.stderr
 
 
-def test_bad_threads_env_is_config_error(smoke):
+@pytest.mark.parametrize(
+    "bad_row", ["7,8,9,10,11,12,x", "7,8,9,10,11,12"], ids=["non-numeric", "ragged"]
+)
+def test_malformed_csv_table_is_data_error(smoke, bad_row):
     cfg, tmp = smoke
+    table = tmp / "bad.csv"
+    table.write_text("2,1,6,5,normal-location\n0,1,2,3,4,5,6\n" + bad_row + "\n")
     proc = run_cli(
-        "gen-table", "--config", str(cfg), "--out", str(tmp / "out"),
-        env={"GBC_THREADS": "many"},
+        "train", "--config", str(cfg), "--out", str(tmp / "out"), "--table", str(table)
     )
-    assert proc.returncode == 2
-    assert "GBC_THREADS" in proc.stderr
+    assert proc.returncode == 3, proc.stderr
+    assert "data error" in proc.stderr and "cannot parse" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_train_then_sample_full_cycle(smoke):

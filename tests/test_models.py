@@ -218,9 +218,9 @@ def _small_table():
     return generate_reference_table(prior, TwoParamSim(), 37, RngStream(21))
 
 
-def test_csv_round_trip_is_lossless():
+def test_csv_round_trip_is_lossless(tmp_path):
     table = _small_table()
-    path = "/tmp/gbc_test_table.csv"
+    path = tmp_path / "table.csv"
     write_table_csv(path, table)
     back = read_table_csv(path)
     assert np.array_equal(back.thetas, table.thetas)
@@ -229,9 +229,9 @@ def test_csv_round_trip_is_lossless():
     assert back.simulator == table.simulator
 
 
-def test_binary_round_trip_is_lossless():
+def test_binary_round_trip_is_lossless(tmp_path):
     table = _small_table()
-    path = "/tmp/gbc_test_table.gbct"
+    path = tmp_path / "table.gbct"
     write_table_binary(path, table)
     back = read_table_binary(path)
     assert np.array_equal(back.thetas, table.thetas)
@@ -240,31 +240,28 @@ def test_binary_round_trip_is_lossless():
     assert back.simulator == table.simulator
 
 
-def test_binary_write_is_bit_identical():
+def test_binary_write_is_bit_identical(tmp_path):
     table = _small_table()
-    p1, p2 = "/tmp/gbc_bits_a.gbct", "/tmp/gbc_bits_b.gbct"
+    p1, p2 = tmp_path / "a.gbct", tmp_path / "b.gbct"
     write_table_binary(p1, table)
     write_table_binary(p2, table)
-    with open(p1, "rb") as fa, open(p2, "rb") as fb:
-        assert fa.read() == fb.read()
+    assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_binary_bad_magic_is_structured_error():
-    path = "/tmp/gbc_bad_magic.gbct"
-    with open(path, "wb") as fh:
-        fh.write(b"NOPE" + b"\x00" * 64)
+def test_binary_bad_magic_is_structured_error(tmp_path):
+    path = tmp_path / "bad_magic.gbct"
+    path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(DataError, match="magic"):
         read_table_binary(path)
 
 
-def test_binary_bad_version_is_structured_error():
+def test_binary_bad_version_is_structured_error(tmp_path):
     table = _small_table()
-    path = "/tmp/gbc_bad_version.gbct"
+    path = tmp_path / "bad_version.gbct"
     write_table_binary(path, table)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(path.read_bytes())
     blob[4] = 99  # bump the version field
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    path.write_bytes(bytes(blob))
     with pytest.raises(DataError, match="version"):
         read_table_binary(path)
 
@@ -280,13 +277,12 @@ def test_binary_truncated_prefixes_are_data_errors(tmp_path):
             read_table_binary(cut)
 
 
-def test_csv_truncated_payload_detected():
+def test_csv_truncated_payload_detected(tmp_path):
     table = _small_table()
-    path = "/tmp/gbc_trunc.csv"
+    path = tmp_path / "trunc.csv"
     write_table_csv(path, table)
-    lines = open(path).read().splitlines()
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines[:-3]) + "\n")
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-3]) + "\n")
     with pytest.raises(DataError):
         read_table_csv(path)
 
