@@ -356,6 +356,28 @@ def fiducial_location(y0, epsilon, budget, rng) -> FiducialResult:
     )
 
 
+def fiducial_normal_meanvar(y_bar, s2, n, epsilon, budget, rng) -> FiducialResult:
+    """Fiducial draws of (mu, sigma^2) from n observations seen through
+    their mean y_bar and sample variance s2: y_bar = mu + sigma u0 and
+    s2 = sigma^2 u1, with u0 ~ N(0, 1/n) and u1 ~ Gamma(n/2, scale 2/n).
+
+    mu is searched within y_bar +- 12 sample sds, sigma^2 within
+    [s2 / 50, 50 s2].
+    """
+    sd = math.sqrt(s2)
+    return fiducial_rejection(
+        G=lambda u, th: np.array([th[0] + np.sqrt(th[1]) * u[0], th[1] * u[1]]),
+        sample_u=lambda gen: np.array(
+            [gen.normal(0.0, math.sqrt(1.0 / n)), gen.gamma(n / 2.0, 2.0 / n)]
+        ),
+        y_obs=np.array([y_bar, s2]),
+        epsilon=epsilon,
+        budget=budget,
+        rng=rng,
+        theta_bounds=[(y_bar - 12.0 * sd, y_bar + 12.0 * sd), (s2 / 50.0, s2 * 50.0)],
+    )
+
+
 def w1_distance(samples, quantile_fn, grid_size=512) -> float:
     """Mean absolute gap between empirical and reference quantiles.
 

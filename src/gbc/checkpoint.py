@@ -95,6 +95,11 @@ def _read_summary(r: BinaryReader) -> SummaryMap:
     (n,) = r.unpack("I")
     input_mean, input_sd = r.array(n), r.array(n)
     (k,) = r.unpack("I")
+    if (net.input_dim, net.output_dim) != (n, k):
+        raise DataError(
+            f"{r.path}: the summary net maps {net.input_dim} to {net.output_dim} "
+            f"values but carries statistics for {n} and {k}"
+        )
     return SummaryMap(
         kind="network",
         log1p_inputs=bool(log1p),
@@ -134,7 +139,7 @@ def load_checkpoint(path) -> Checkpoint:
     summary = _read_summary(r)
     (n_nets,) = r.unpack("I")
     nets = []
-    for _ in range(n_nets):
+    for k in range(n_nets):
         psi = _read_net(r)
         n_cos, m = r.unpack("II")
         phi = CosineEmbedding(r.array(n_cos, m), r.array(m))
@@ -142,6 +147,18 @@ def load_checkpoint(path) -> Checkpoint:
         (cond_dim,) = r.unpack("I")
         cond_mean, cond_sd = r.array(cond_dim), r.array(cond_dim)
         target_mean, target_sd = r.unpack("dd")
+        # Net k conditions on the summary and the k coordinates before it;
+        # psi's features and the embedding multiply, and g maps them to 1.
+        if not psi.output_dim == m == g.input_dim or g.output_dim != 1:
+            raise DataError(
+                f"{r.path}: net {k} has psi output {psi.output_dim}, embedding "
+                f"width {m} and g {g.input_dim} -> {g.output_dim}"
+            )
+        if not psi.input_dim == cond_dim == summary.out_dim + k:
+            raise DataError(
+                f"{r.path}: net {k} conditions on {psi.input_dim} inputs with "
+                f"{cond_dim} statistics; the chain gives it {summary.out_dim + k}"
+            )
         nets.append(
             ImplicitQuantileNet(
                 psi=psi, phi=phi, g=g,

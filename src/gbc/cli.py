@@ -22,24 +22,16 @@ for _var in (
     os.environ.setdefault(_var, "1")
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import (
-    AbcConfig,
-    abc_epsilon_sweep,
-    fiducial_location,
-    fiducial_rejection,
-)
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import RunConfig, prior_from_config, simulator_params
+from .config import RunConfig, prior_from_config, simulator_from_config
 from .errors import ConfigError, DataError, GbcError
 from .formats import fmt_value, read_csv, write_csv
 from .models import (
-    make_simulator,
     read_table_binary,
     read_table_csv,
     write_table_binary,
@@ -48,25 +40,22 @@ from .models import (
 from .nets import run_gradient_check
 from .pipeline import (
     COVERAGE_HEADER,
+    FIDUCIAL_HEADERS,
     NORMAL_REPORT_HEADER,
+    abc_stage,
     benchmark_epidemic,
     benchmark_normal,
     build_table,
+    fiducial_model,
+    fiducial_stage,
     fit_summary,
     holdout_csv_rows,
     run_seed,
     train_chain,
 )
 from .rng import RngStream
-from .summaries import mean_summary
 
 GRADCHECK_TOLERANCE = 1e-5
-
-
-def _load_config(args) -> RunConfig:
-    if not args.config:
-        raise ConfigError("this command needs --config PATH")
-    return RunConfig.from_file(args.config)
 
 
 def _out_dir(args, cfg: RunConfig) -> Path:
@@ -91,18 +80,41 @@ def _read_table(path: Path):
     return read_table_binary(path)
 
 
-def _read_vector(path, size=None) -> np.ndarray:
-    """The single observation row of a CSV file; ``size`` values if given."""
-    _, data = read_csv(path)
+def _read_y_obs(args, size=None) -> np.ndarray:
+    """The single observation row of the ``--y-obs`` CSV file; ``size``
+    values if given."""
+    if not args.y_obs:
+        raise ConfigError(f"{args.command} needs --y-obs FILE")
+    _, data = read_csv(args.y_obs)
     if data.shape[0] != 1:
         raise DataError(
-            f"{path} holds {data.shape[0]} rows; expected a single observation row"
+            f"{args.y_obs} holds {data.shape[0]} rows; expected a single "
+            "observation row"
         )
     if size is not None and data.shape[1] != size:
         raise DataError(
-            f"{path} holds {data.shape[1]} values; the model takes {size}"
+            f"{args.y_obs} holds {data.shape[1]} values; the model takes {size}"
         )
     return data[0]
+
+
+def _write_summary_losses(out: Path, losses) -> None:
+    if losses is not None:
+        write_csv(
+            out / "summary_loss.csv",
+            ["epoch", "mse"],
+            [[i, v] for i, v in enumerate(losses)],
+        )
+
+
+def _verdict(result, passed) -> int:
+    """Print a benchmark's failures and return its exit code."""
+    for line in result.failures:
+        print(f"FAIL {line}")
+    if not result.ok:
+        return 4
+    print(passed)
+    return 0
 
 
 def _summary_mse_label(summary) -> str:
@@ -110,10 +122,7 @@ def _summary_mse_label(summary) -> str:
     return "in-sample mse" if summary.kind == "linear" else "holdout mse"
 
 
-def cmd_gen_table(args) -> int:
-    cfg = _load_config(args)
-    seed = run_seed(cfg, args.seed)
-    out = _out_dir(args, cfg)
+def cmd_gen_table(args, cfg, seed, out) -> int:
     table = build_table(cfg, seed, threads=args.threads or 1)
     path = _table_path(args, cfg, out)
     if path.suffix == ".csv":
@@ -124,10 +133,7 @@ def cmd_gen_table(args) -> int:
     return 0
 
 
-def cmd_fit_summary(args) -> int:
-    cfg = _load_config(args)
-    seed = run_seed(cfg, args.seed)
-    out = _out_dir(args, cfg)
+def cmd_fit_summary(args, cfg, seed, out) -> int:
     table = _read_table(_table_path(args, cfg, out))
     summary, losses, mse = fit_summary(cfg, table, seed)
     ckpt = Checkpoint(
@@ -136,32 +142,19 @@ def cmd_fit_summary(args) -> int:
     )
     path = out / "summary.gbcq"
     save_checkpoint(path, ckpt)
-    if losses is not None:
-        write_csv(
-            out / "summary_loss.csv",
-            ["epoch", "mse"],
-            [[i, v] for i, v in enumerate(losses)],
-        )
+    _write_summary_losses(out, losses)
     print(f"wrote summary checkpoint to {path}")
     print(f"{_summary_mse_label(summary)}: {fmt_value(mse)}")
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args)
-    seed = run_seed(cfg, args.seed)
-    out = _out_dir(args, cfg)
+def cmd_train(args, cfg, seed, out) -> int:
     table = _read_table(_table_path(args, cfg, out))
     summary, summary_losses, mse = fit_summary(cfg, table, seed)
     ckpt, traces = train_chain(cfg, table, summary, seed)
     path = out / "model.gbcq"
     save_checkpoint(path, ckpt)
-    if summary_losses is not None:
-        write_csv(
-            out / "summary_loss.csv",
-            ["epoch", "mse"],
-            [[i, v] for i, v in enumerate(summary_losses)],
-        )
+    _write_summary_losses(out, summary_losses)
     write_csv(
         out / "loss_trace.csv",
         ["epoch"] + [f"pinball_{k}" for k in range(traces.shape[1])],
@@ -176,19 +169,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_sample(args) -> int:
-    cfg = _load_config(args)
-    seed = run_seed(cfg, args.seed)
-    out = _out_dir(args, cfg)
+def cmd_sample(args, cfg, seed, out) -> int:
     ckpt_path = Path(args.checkpoint) if args.checkpoint else out / "model.gbcq"
     if not ckpt_path.exists():
         raise DataError(f"checkpoint not found: {ckpt_path}")
     ckpt = load_checkpoint(ckpt_path)
     if not ckpt.nets:
         raise DataError(f"{ckpt_path} holds only a summary map, not a trained chain")
-    if not args.y_obs:
-        raise ConfigError("sample needs --y-obs FILE")
-    y_obs = _read_vector(args.y_obs, ckpt.summary.in_dim)
+    y_obs = _read_y_obs(args, ckpt.summary.in_dim)
     model = ckpt.model()
     draws = model.sample(y_obs, args.draws, RngStream(seed).child("sample"))
     path = out / "samples.csv"
@@ -201,36 +189,11 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def cmd_abc(args) -> int:
-    cfg = _load_config(args)
-    seed = run_seed(cfg, args.seed)
-    out = _out_dir(args, cfg)
-    if not args.y_obs:
-        raise ConfigError("abc needs --y-obs FILE")
+def cmd_abc(args, cfg, seed, out) -> int:
     prior = prior_from_config(cfg)
-    simulator = make_simulator(cfg.get_str("run", "simulator"), simulator_params(cfg))
-    y_obs = _read_vector(args.y_obs, simulator.y_dim)
-    kind = cfg.get_str("abc", "summary", "mean")
-    if kind == "mean":
-        summary = mean_summary(simulator.y_dim)
-    elif kind == "identity":
-        summary = None
-    else:
-        raise ConfigError(
-            f"config key [abc] summary must be mean or identity, got {kind!r}"
-        )
-    abc_cfg = AbcConfig(
-        epsilon=0.0,
-        summary=summary,
-        standardize=cfg.get_bool("abc", "standardize", "true"),
-    )
-    epsilons = list(cfg.get_floats("abc", "epsilons", "2,1,0.5,0.25,0.1"))
-    sweep = abc_epsilon_sweep(
-        simulator, prior, y_obs, abc_cfg, epsilons,
-        cfg.get_int("abc", "budget", 100_000),
-        RngStream(seed).child("abc"),
-        block_size=cfg.get_int("abc", "block_size", 4096),
-    )
+    simulator = simulator_from_config(cfg)
+    y_obs = _read_y_obs(args, simulator.y_dim)
+    sweep = abc_stage(cfg, simulator, prior, y_obs, RngStream(seed).child("abc"))
     write_csv(
         out / "abc_sweep.csv",
         ["epsilon", "n_proposals", "n_accepted", "acceptance_rate"],
@@ -252,69 +215,16 @@ def cmd_abc(args) -> int:
     return 0
 
 
-def cmd_fiducial(args) -> int:
-    cfg = _load_config(args)
-    seed = run_seed(cfg, args.seed)
-    out = _out_dir(args, cfg)
-    if not args.y_obs:
-        raise ConfigError("fiducial needs --y-obs FILE")
-    y = _read_vector(args.y_obs)
-    model = cfg.get_str("fiducial", "model", "location")
-    epsilon = cfg.get_float("fiducial", "epsilon", "inf")
-    budget = cfg.get_int("fiducial", "budget", 10_000)
-    rng = RngStream(seed).child("fiducial")
-    if model == "location":
-        # The unit-variance location model sees the row through its mean,
-        # as benchmark-normal does.
-        result = fiducial_location(float(np.mean(y)), epsilon, budget, rng)
-        header = ["theta_1"]
-    elif model == "normal-meanvar":
-        if y.size < 2:
-            raise DataError("normal-meanvar fiducial needs at least 2 observations")
-        n = y.size
-        y_bar = float(np.mean(y))
-        s2 = float(np.var(y, ddof=1))
-
-        def G(u, th):
-            mu, var = th[0], th[1]
-            return np.array([mu + np.sqrt(var) * u[0], var * u[1]])
-
-        def sample_u(gen):
-            return np.array(
-                [gen.normal(0.0, math.sqrt(1.0 / n)),
-                 gen.gamma(n / 2.0, 2.0 / n)]
-            )
-
-        result = fiducial_rejection(
-            G=G,
-            sample_u=sample_u,
-            y_obs=np.array([y_bar, s2]),
-            epsilon=epsilon,
-            budget=budget,
-            rng=rng,
-            theta_bounds=[
-                (y_bar - 12.0 * math.sqrt(s2), y_bar + 12.0 * math.sqrt(s2)),
-                (s2 / 50.0, s2 * 50.0),
-            ],
-        )
-        header = ["mu", "sigma_sq"]
-    else:
-        raise ConfigError(
-            f"config key [fiducial] model must be location or normal-meanvar, "
-            f"got {model!r}"
-        )
+def cmd_fiducial(args, cfg, seed, out) -> int:
+    result = fiducial_stage(cfg, _read_y_obs(args), RngStream(seed).child("fiducial"))
+    header = FIDUCIAL_HEADERS[fiducial_model(cfg)]
     write_csv(out / "fiducial_draws.csv", header, result.thetas.tolist())
     print(
         f"accepted {result.n_accepted} of {result.n_draws} draws "
         f"({result.n_skipped} skipped); wrote {out / 'fiducial_draws.csv'}"
     )
     return 0
-
-
-def cmd_benchmark_normal(args) -> int:
-    cfg = _load_config(args)
-    seed = run_seed(cfg, args.seed)
-    out = _out_dir(args, cfg)
+def cmd_benchmark_normal(args, cfg, seed, out) -> int:
     result = benchmark_normal(cfg, seed, threads=args.threads or 1)
     write_csv(out / "benchmark_normal.csv", NORMAL_REPORT_HEADER, result.rows)
     write_csv(
@@ -323,18 +233,10 @@ def cmd_benchmark_normal(args) -> int:
         [[result.posterior_mean, result.posterior_sd, result.y_bar]],
     )
     print(f"wrote report to {out / 'benchmark_normal.csv'}")
-    for line in result.failures:
-        print(f"FAIL {line}")
-    if not result.ok:
-        return 4
-    print("all benchmark thresholds met")
-    return 0
+    return _verdict(result, "all benchmark thresholds met")
 
 
-def cmd_benchmark_epidemic(args) -> int:
-    cfg = _load_config(args)
-    seed = run_seed(cfg, args.seed)
-    out = _out_dir(args, cfg)
+def cmd_benchmark_epidemic(args, cfg, seed, out) -> int:
     result = benchmark_epidemic(cfg, seed)
     for h in result.holdout_ids:
         header, rows = holdout_csv_rows(result.holdout_tables[h])
@@ -348,17 +250,11 @@ def cmd_benchmark_epidemic(args) -> int:
         + " ".join(f"{r:.4f}" for r in result.box_violation_by_coord)
         + ")"
     )
-    for line in result.failures:
-        print(f"FAIL {line}")
-    if not result.ok:
-        return 4
-    print("coverage floor met")
-    return 0
+    return _verdict(result, "coverage floor met")
 
 
 def cmd_gradcheck(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    worst = run_gradient_check(args.nets, RngStream(seed).child("gradcheck"))
+    worst = run_gradient_check(args.nets, RngStream(args.seed).child("gradcheck"))
     print(f"max relative gradient error over {args.nets} nets: {worst:.3e}")
     if worst >= GRADCHECK_TOLERANCE:
         print(f"FAIL exceeds tolerance {GRADCHECK_TOLERANCE:g}")
@@ -437,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_benchmark_epidemic)
 
     p = sub.add_parser("gradcheck", help="verify gradients on random nets")
-    common(p)
+    p.add_argument("--seed", type=int, default=0, help="random-net seed")
     p.add_argument("--nets", type=int, default=100, help="number of random nets")
     p.set_defaults(fn=cmd_gradcheck)
 
@@ -447,7 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if args.command == "gradcheck":  # the one command without a config
+            return cmd_gradcheck(args)
+        if not args.config:
+            raise ConfigError("this command needs --config PATH")
+        cfg = RunConfig.from_file(args.config)
+        return args.fn(args, cfg, run_seed(cfg, args.seed), _out_dir(args, cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

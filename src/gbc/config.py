@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .models import NormalCoord, PriorSpec, UniformCoord
+from .models import NormalCoord, PriorSpec, UniformCoord, make_simulator
 from .nets import OptimizerSpec
 from .quantile import NetworkSpec
 
@@ -35,32 +35,23 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        parser = configparser.ConfigParser(
-            interpolation=None, delimiters=("=",), comment_prefixes=("#", ";")
-        )
-        parser.optionxform = str
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                parser.read_file(fh)
-        except OSError as exc:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except configparser.Error as exc:
-            raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
-        sections = {
-            name: dict(parser.items(name)) for name in parser.sections()
-        }
-        return cls(sections=sections)
+        return cls.from_text(text, source=f"config file {path}")
 
     @classmethod
-    def from_text(cls, text) -> "RunConfig":
+    def from_text(cls, text, source="config text") -> "RunConfig":
         parser = configparser.ConfigParser(
             interpolation=None, delimiters=("=",), comment_prefixes=("#", ";")
         )
         parser.optionxform = str
         try:
-            parser.read_string(text)
+            parser.read_string(text, source=source)
         except configparser.Error as exc:
-            raise ConfigError(f"cannot parse config text: {exc}") from exc
+            raise ConfigError(f"cannot parse {source}: {exc}") from exc
         return cls(
             sections={name: dict(parser.items(name)) for name in parser.sections()}
         )
@@ -188,6 +179,11 @@ def prior_from_config(cfg: RunConfig) -> PriorSpec:
 
 def simulator_params(cfg: RunConfig) -> dict:
     return dict(cfg.sections.get("simulator", {}))
+
+
+def simulator_from_config(cfg: RunConfig):
+    """The ``[run] simulator`` model with its ``[simulator]`` parameters."""
+    return make_simulator(cfg.get_str("run", "simulator"), simulator_params(cfg))
 
 
 def network_spec_from_config(cfg: RunConfig) -> NetworkSpec:

@@ -44,9 +44,6 @@ class UniformCoord:
     def sample(self, gen, size):
         return gen.uniform(self.lo, self.hi, size=size)
 
-    def describe(self):
-        return f"uniform({self.lo!r},{self.hi!r})"
-
 
 @dataclass(frozen=True)
 class NormalCoord:
@@ -59,9 +56,6 @@ class NormalCoord:
 
     def sample(self, gen, size):
         return gen.normal(self.mean, np.sqrt(self.var), size=size)
-
-    def describe(self):
-        return f"normal({self.mean!r},{self.var!r})"
 
 
 @dataclass(frozen=True)
@@ -89,9 +83,6 @@ class PriorSpec:
         for c in self.coords:
             out.append((c.lo, c.hi) if isinstance(c, UniformCoord) else None)
         return out
-
-    def describe(self) -> str:
-        return " ".join(c.describe() for c in self.coords)
 
 
 class NormalLocationSimulator:
@@ -172,20 +163,18 @@ class EpidemicSimulator:
     transmission probability theta1 is scaled by (1 - theta4); reduced
     travel scales the contact factor by (1 - 0.5 * theta5 / 8e-5). Curves
     are non-decreasing integer counts starting at or above the initial
-    infected count and capped at the population. With strict=True (the
-    default) theta must lie in EPIDEMIC_RANGES; boundary values like
-    theta1 = 0 are only allowed with strict=False.
+    infected count and capped at the population. Theta must lie in
+    EPIDEMIC_RANGES.
     """
 
     name = "epidemic"
 
-    def __init__(self, population=100_000, weeks=56, contact=0.5, strict=True):
+    def __init__(self, population=100_000, weeks=56, contact=0.5):
         if population < 1 or weeks < 1:
             raise ConfigError("population and weeks must be positive")
         self.population = int(population)
         self.weeks = int(weeks)
         self.contact = float(contact)
-        self.strict = bool(strict)
 
     @property
     def theta_dim(self):
@@ -196,22 +185,25 @@ class EpidemicSimulator:
         return self.weeks
 
     def simulate(self, theta, gen):
-        theta = np.asarray(theta, dtype=np.float64).reshape(1, -1)
-        self.validate(theta)
-        return _epidemic_batch(theta, self.population, self.weeks, gen, self.contact)[0]
+        return self.simulate_batch(np.reshape(theta, (1, -1)), gen)[0]
 
     def simulate_batch(self, thetas, gen):
         thetas = np.asarray(thetas, dtype=np.float64)
         self.validate(thetas)
         return _epidemic_batch(thetas, self.population, self.weeks, gen, self.contact)
 
+    def simulate_weeks(self, thetas, gen):
+        """Validate ``thetas``, then stream each week's (B,) cumulative
+        counts of one run of them (see :func:`_epidemic_weeks`)."""
+        thetas = np.asarray(thetas, dtype=np.float64)
+        self.validate(thetas)
+        return _epidemic_weeks(thetas, self.population, self.weeks, gen, self.contact)
+
     def validate(self, thetas):
-        """Raise ValueError unless every row is a 5-parameter scenario and,
-        when strict, lies inside EPIDEMIC_RANGES."""
+        """Raise ValueError unless every row is a 5-parameter scenario inside
+        EPIDEMIC_RANGES."""
         if thetas.shape[1] != 5:
             raise ValueError("epidemic scenarios have exactly 5 parameters")
-        if not self.strict:
-            return
         for k, (lo, hi) in enumerate(EPIDEMIC_RANGES):
             col = thetas[:, k]
             if np.any(col < lo) or np.any(col > hi):
@@ -252,7 +244,6 @@ class ReferenceTable:
     ys: np.ndarray  # (N, n)
     seed: int
     simulator: str
-    prior: str = ""
 
     def __post_init__(self):
         self.thetas = np.ascontiguousarray(self.thetas, dtype=np.float64)
@@ -325,7 +316,6 @@ def generate_reference_table(
         ys=ys,
         seed=rng.seed,
         simulator=simulator.name,
-        prior=prior.describe(),
     )
 
 

@@ -8,7 +8,6 @@ the CLI turns into exit codes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,10 @@ from scipy import stats
 from .analytic import NormalNormalModel, conjugate_posterior
 from .baselines import (
     AbcConfig,
+    FiducialResult,
     abc_epsilon_sweep,
     fiducial_location,
+    fiducial_normal_meanvar,
     w1_bootstrap_se,
     w1_distance,
 )
@@ -28,10 +29,10 @@ from .config import (
     network_spec_from_config,
     optimizer_spec_from_config,
     prior_from_config,
-    simulator_params,
+    simulator_from_config,
 )
 from .design import lhs_sample
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 # write_csv is unused here but kept importable as pipeline.write_csv: the
 # benchmark harness writes its loss-trace digest through it.
 from .formats import write_csv  # noqa: F401
@@ -39,9 +40,7 @@ from .models import (
     EPIDEMIC_QUANTILE_PROBS,
     NormalCoord,
     ReferenceTable,
-    _epidemic_weeks,
     generate_reference_table,
-    make_simulator,
     quantile_index_replicates,
 )
 from .quantile import posterior_quantile_curve, train_iqn
@@ -76,9 +75,7 @@ def run_seed(cfg: RunConfig, override=None) -> int:
 def build_table(cfg: RunConfig, seed, threads=1) -> ReferenceTable:
     """Generate the reference table the config describes."""
     prior = prior_from_config(cfg)
-    simulator = make_simulator(
-        cfg.get_str("run", "simulator"), simulator_params(cfg)
-    )
+    simulator = simulator_from_config(cfg)
     if prior.dim != simulator.theta_dim:
         raise ConfigError(
             f"prior has {prior.dim} coordinates but simulator "
@@ -154,6 +151,61 @@ def train_chain(cfg: RunConfig, table: ReferenceTable, summary: SummaryMap, seed
     return ckpt, np.column_stack(traces)
 
 
+def abc_stage(cfg: RunConfig, simulator, prior, y_obs, rng):
+    """The ``[abc]`` epsilon sweep at ``y_obs``: one AbcResult per epsilon,
+    in config order, each a threshold of one shared proposal pool."""
+    kind = cfg.get_str("abc", "summary", "mean")
+    if kind not in ("mean", "identity"):
+        raise ConfigError(
+            f"config key [abc] summary must be mean or identity, got {kind!r}"
+        )
+    epsilons = cfg.get_floats("abc", "epsilons", "2,1,0.5,0.25,0.1")
+    budget = cfg.get_int("abc", "budget", 100_000)
+    block_size = cfg.get_int("abc", "block_size", 4096)
+    if not epsilons or min(epsilons) < 0:
+        raise ConfigError("config key [abc] epsilons must be one or more numbers >= 0")
+    if budget < 1 or block_size < 1:
+        raise ConfigError("config keys [abc] budget and block_size must be positive")
+    abc_cfg = AbcConfig(
+        epsilon=0.0,
+        summary=mean_summary(simulator.y_dim) if kind == "mean" else None,
+        standardize=cfg.get_bool("abc", "standardize", "true"),
+    )
+    return abc_epsilon_sweep(
+        simulator, prior, y_obs, abc_cfg, epsilons, budget, rng,
+        block_size=block_size,
+    )
+
+
+FIDUCIAL_HEADERS = {"location": ["theta_1"], "normal-meanvar": ["mu", "sigma_sq"]}
+
+
+def fiducial_model(cfg: RunConfig) -> str:
+    """``[fiducial] model``, a key of FIDUCIAL_HEADERS."""
+    model = cfg.get_str("fiducial", "model", "location")
+    if model not in FIDUCIAL_HEADERS:
+        raise ConfigError(
+            f"config key [fiducial] model must be location or normal-meanvar, "
+            f"got {model!r}"
+        )
+    return model
+
+
+def fiducial_stage(cfg: RunConfig, y, rng) -> FiducialResult:
+    """``[fiducial]`` rejection draws for the data row ``y``. The
+    unit-variance location model sees the row through its mean."""
+    epsilon = cfg.get_float("fiducial", "epsilon", "inf")
+    budget = cfg.get_int("fiducial", "budget", 10_000)
+    y = np.asarray(y, dtype=np.float64)
+    if fiducial_model(cfg) == "location":
+        return fiducial_location(float(np.mean(y)), epsilon, budget, rng)
+    if y.size < 2:
+        raise DataError("normal-meanvar fiducial needs at least 2 observations")
+    return fiducial_normal_meanvar(
+        float(np.mean(y)), float(np.var(y, ddof=1)), y.size, epsilon, budget, rng
+    )
+
+
 # ---------------------------------------------------------------------------
 # Normal-location benchmark: quantile net vs ABC vs fiducial vs closed form.
 
@@ -172,16 +224,18 @@ def benchmark_normal(cfg: RunConfig, seed, threads=1) -> NormalBenchmarkResult:
     """Method-by-method comparison on the conjugate normal location model.
 
     Builds y_obs at the configured true theta, trains the quantile chain on
-    a fresh reference table, runs the ABC epsilon sweep and the fiducial
-    location sampler, and scores everything against the exact posterior.
+    a fresh reference table, runs the ``[abc]`` epsilon sweep and the
+    ``[fiducial]`` location sampler, and scores everything against the
+    exact posterior.
     """
     prior = prior_from_config(cfg)
     if prior.dim != 1 or not isinstance(prior.coords[0], NormalCoord):
         raise ConfigError("the normal benchmark needs a 1-D normal prior")
-    params = simulator_params(cfg)
-    simulator = make_simulator(cfg.get_str("run", "simulator"), params)
+    simulator = simulator_from_config(cfg)
     if simulator.name != "normal-location":
         raise ConfigError("the normal benchmark needs the normal-location simulator")
+    if fiducial_model(cfg) != "location":
+        raise ConfigError("the normal benchmark needs [fiducial] model = location")
 
     root = RngStream(seed)
     theta_true = cfg.get_float("benchmark", "theta_true", 3.0)
@@ -227,20 +281,10 @@ def benchmark_normal(cfg: RunConfig, seed, threads=1) -> NormalBenchmarkResult:
          "yes" if net_ok else "no"]
     )
 
-    # ABC sweep on the mean summary, epsilons in prior-predictive sd units.
-    abc_cfg = AbcConfig(
-        epsilon=0.0, summary=mean_summary(simulator.n_obs), standardize=True
-    )
-    epsilons = list(cfg.get_floats("abc", "epsilons", "2,1,0.5,0.25,0.1"))
-    budget = cfg.get_int("abc", "budget", 300_000)
-    sweep = abc_epsilon_sweep(
-        simulator, prior, y_obs, abc_cfg, epsilons, budget,
-        root.child("abc"), block_size=cfg.get_int("abc", "block_size", 4096),
-    )
-    prev_w1 = None
+    sweep = abc_stage(cfg, simulator, prior, y_obs, root.child("abc"))
+    last_w1 = None
     abc_ok = True
     boot = root.child("abc-boot")
-    final_w1 = None
     for res in sweep:
         if res.n_accepted == 0:
             abc_ok = False
@@ -251,29 +295,27 @@ def benchmark_normal(cfg: RunConfig, seed, threads=1) -> NormalBenchmarkResult:
             continue
         w1 = w1_distance(res.thetas[:, 0], post.quantile)
         se = w1_bootstrap_se(res.thetas[:, 0], post.quantile, boot.child(len(rows)))
-        step_ok = prev_w1 is None or w1 <= prev_w1 + 2.0 * se
+        step_ok = last_w1 is None or w1 <= last_w1 + 2.0 * se
         if not step_ok:
             abc_ok = False
             failures.append(
                 f"abc W1 increased beyond 2 SE at epsilon={res.epsilon}: "
-                f"{prev_w1:.4g} -> {w1:.4g} (se {se:.4g})"
+                f"{last_w1:.4g} -> {w1:.4g} (se {se:.4g})"
             )
         rows.append(
             ["abc", res.epsilon, res.n_accepted, res.acceptance_rate, w1, se,
              "nan", "nan", "yes" if step_ok else "no"]
         )
-        prev_w1 = w1
-        final_w1 = w1
-    if final_w1 is None or final_w1 >= ABC_FINAL_W1_SIGMA * sigma:
+        last_w1 = w1
+    if last_w1 is None or last_w1 >= ABC_FINAL_W1_SIGMA * sigma:
         abc_ok = False
         failures.append(
-            f"abc final W1 {final_w1} not below {ABC_FINAL_W1_SIGMA * sigma:.4g}"
+            f"abc final W1 {last_w1} not below {ABC_FINAL_W1_SIGMA * sigma:.4g}"
         )
 
     # Fiducial location model on the scalar y = y_bar: closed form N(y_bar, 1).
     y_bar = float(np.mean(y_obs))
-    fid_budget = cfg.get_int("fiducial", "budget", 10_000)
-    fid = fiducial_location(y_bar, math.inf, fid_budget, root.child("fiducial"))
+    fid = fiducial_stage(cfg, y_obs, root.child("fiducial"))
     fid_draws = fid.thetas[:, 0]
     ks_stat, ks_p = stats.kstest(fid_draws, "norm", args=(y_bar, 1.0))
     fid_ok = ks_p > KS_SIGNIFICANCE
@@ -282,9 +324,8 @@ def benchmark_normal(cfg: RunConfig, seed, threads=1) -> NormalBenchmarkResult:
             f"fiducial location draws fail the Kolmogorov test: "
             f"stat {ks_stat:.4g}, p {ks_p:.4g}"
         )
-    fid_w1 = w1_distance(
-        fid_draws, lambda t: y_bar + stats.norm.ppf(t)
-    )
+    fid_w1 = (w1_distance(fid_draws, lambda t: y_bar + stats.norm.ppf(t))
+              if fid.n_accepted else "nan")
     rows.append(
         ["fiducial", "nan", fid.n_accepted, fid.acceptance_rate, fid_w1, "nan",
          "nan", ks_stat, "yes" if fid_ok else "no"]
@@ -328,7 +369,7 @@ def benchmark_epidemic(cfg: RunConfig, seed) -> EpidemicBenchmarkResult:
     """Desk-scale epidemic study: train on quantile trajectories from an LHS
     design over the [prior] box, then check posterior-predictive band
     coverage on holdouts."""
-    simulator = make_simulator(cfg.get_str("run", "simulator"), simulator_params(cfg))
+    simulator = simulator_from_config(cfg)
     box = prior_from_config(cfg).box()
     if simulator.name != "epidemic" or len(box) != 5 or None in box:
         raise ConfigError(
@@ -414,7 +455,7 @@ def benchmark_epidemic(cfg: RunConfig, seed) -> EpidemicBenchmarkResult:
             tiled = np.repeat(clipped[:, :5], pred_reps, axis=0)
             pred_gen = root.child(f"predict-{h}-{j}").generator
             pred = np.empty((n_draws, weeks))
-            weekly = _simulate_unchecked(simulator, tiled, pred_gen)
+            weekly = simulator.simulate_weeks(tiled, pred_gen)
             for week, cum in enumerate(weekly):
                 reps = np.sort(cum.reshape(n_draws, pred_reps), axis=1)
                 pred[:, week] = _row_quantile(reps, clipped[:, 5])
@@ -451,20 +492,6 @@ def benchmark_epidemic(cfg: RunConfig, seed) -> EpidemicBenchmarkResult:
         box_violation_by_coord=out_by_coord / max(1, draws_total),
         ok=coverage >= floor,
         failures=failures,
-    )
-
-
-def _simulate_unchecked(simulator, thetas, gen):
-    """Stream the weekly cumulative counts of one run of ``thetas`` (see
-    ``models._epidemic_weeks``). Predictive draws are clipped to the prior
-    box, which lies in the simulator's range, so range validation is
-    skipped."""
-    return _epidemic_weeks(
-        np.asarray(thetas, dtype=np.float64),
-        simulator.population,
-        simulator.weeks,
-        gen,
-        simulator.contact,
     )
 
 

@@ -114,7 +114,9 @@ def test_network_summary_round_trip(tmp_path):
         output_mean=np.array([0.5, -0.5]),
         output_sd=np.array([2.0, 3.0]),
     )
-    ckpt = Checkpoint(summary=summary, nets=[_make_net(rng.child("n"))], table_seed=1)
+    ckpt = Checkpoint(
+        summary=summary, nets=[_make_net(rng.child("n"), cond_dim=2)], table_seed=1
+    )
     path = tmp_path / "net-summary.gbcq"
     save_checkpoint(path, ckpt)
     back = load_checkpoint(path)
@@ -124,6 +126,22 @@ def test_network_summary_round_trip(tmp_path):
     assert np.array_equal(back.summary.output_sd, summary.output_sd)
     for la, lb in zip(summary.net.layers, back.summary.net.layers):
         assert np.array_equal(la.weight, lb.weight)
+
+
+def test_network_summary_statistics_must_fit_its_net(tmp_path):
+    rng = RngStream(6)
+    summary = SummaryMap(
+        kind="network",
+        net=FeedForwardNet.create([4, 6, 2], rng.child("s")),
+        input_mean=np.zeros(4),
+        input_sd=np.ones(4),
+        output_mean=np.zeros(3),
+        output_sd=np.ones(3),
+    )
+    path = tmp_path / "bad-summary.gbcq"
+    save_checkpoint(path, Checkpoint(summary=summary, nets=[], table_seed=1))
+    with pytest.raises(DataError, match="statistics for 4 and 3"):
+        load_checkpoint(path)
 
 
 def test_bad_magic_is_structured_error(tmp_path):

@@ -7,8 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+from gbc.checkpoint import Checkpoint, save_checkpoint
 from gbc.models import read_table_csv
+from gbc.nets import FeedForwardNet
+from gbc.quantile import CosineEmbedding, ImplicitQuantileNet
 from gbc.rng import RngStream
+from gbc.summaries import SummaryMap
 
 SMOKE_CONFIG = """\
 [run]
@@ -130,6 +134,23 @@ def test_bad_config_value_is_config_error(smoke, command, edits, key):
     proc = run_cli(command, "--config", str(cfg), "--out", str(out), *extra)
     assert proc.returncode == 2, proc.stderr
     assert "config error" in proc.stderr
+    assert key in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "setting, key",
+    [("budget = 0", "[abc] budget"), ("epsilons = 1,-1", "[abc] epsilons"),
+     ("epsilons =", "[abc] epsilons")],
+    ids=["zero-budget", "negative-epsilon", "no-epsilons"],
+)
+def test_bad_abc_setting_is_config_error(smoke, setting, key):
+    cfg, tmp = smoke
+    cfg.write_text(cfg.read_text() + f"\n[abc]\n{setting}\n")
+    y_obs = tmp / "y.csv"
+    y_obs.write_text(",".join(["0.5"] * 6) + "\n")
+    proc = run_cli("abc", "--config", str(cfg), "--out", str(tmp / "out"), "--y-obs", str(y_obs))
+    assert proc.returncode == 2, proc.stderr
     assert key in proc.stderr
     assert "Traceback" not in proc.stderr
 
@@ -256,6 +277,33 @@ def test_fiducial_smoke_location_model(smoke):
     assert len(rows) == 41
 
 
+def test_fiducial_meanvar_model_writes_mean_and_variance(smoke):
+    cfg, tmp = smoke
+    out = tmp / "out"
+    cfg.write_text(
+        cfg.read_text() + "\n[fiducial]\nmodel = normal-meanvar\nbudget = 30\n"
+    )
+    y_obs = tmp / "y.csv"
+    y_obs.write_text("1.5,2.0,0.5,3.1,2.2,1.0\n")
+    proc = run_cli(
+        "fiducial", "--config", str(cfg), "--out", str(out), "--y-obs", str(y_obs)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "accepted 30 of 30" in proc.stdout
+    rows = (out / "fiducial_draws.csv").read_text().splitlines()
+    assert rows[0] == "mu,sigma_sq"
+    draws = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+    assert draws.shape == (30, 2)
+    assert np.all(draws[:, 1] > 0.0)
+
+    y_obs.write_text("1.5\n")
+    proc = run_cli(
+        "fiducial", "--config", str(cfg), "--out", str(out), "--y-obs", str(y_obs)
+    )
+    assert proc.returncode == 3
+    assert "at least 2 observations" in proc.stderr
+
+
 def test_fiducial_location_model_uses_the_row_mean(smoke):
     # A 100-value row and a one-value row holding its mean give the same draws.
     cfg, tmp = smoke
@@ -290,6 +338,13 @@ def test_gradcheck_passes_and_reports(smoke):
     assert "max relative gradient error over 5 nets" in proc.stdout
 
 
+def test_gradcheck_takes_no_config():
+    proc = run_cli("gradcheck", "--config", "x")
+    assert proc.returncode == 2
+    assert "--config" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_command_without_config_is_config_error():
     proc = run_cli("gen-table")
     assert proc.returncode == 2
@@ -308,6 +363,40 @@ def test_y_obs_must_be_single_row(smoke):
     )
     assert proc.returncode == 3
     assert "single observation row" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "psi_dims, m, message",
+    [([1, 8, 4], 3, "psi output 4, embedding width 3"),
+     ([2, 8, 3], 3, "the chain gives it 1")],
+    ids=["widths", "conditioning"],
+)
+def test_sample_rejects_checkpoint_whose_dims_do_not_fit(smoke, psi_dims, m, message):
+    cfg, tmp = smoke
+    rng = RngStream(8)
+    summary = SummaryMap(
+        kind="linear", matrix=np.full((1, 6), 1 / 6), intercept=np.zeros(1)
+    )
+    net = ImplicitQuantileNet(
+        psi=FeedForwardNet.create(psi_dims, rng.child("psi")),
+        phi=CosineEmbedding.create(4, m, rng.child("phi")),
+        g=FeedForwardNet.create([3, 8, 1], rng.child("g")),
+        cond_mean=np.zeros(psi_dims[0]),
+        cond_sd=np.ones(psi_dims[0]),
+        target_mean=0.0,
+        target_sd=1.0,
+    )
+    path = tmp / "model.gbcq"
+    save_checkpoint(path, Checkpoint(summary=summary, nets=[net], table_seed=5))
+    y_obs = tmp / "y.csv"
+    y_obs.write_text(",".join(["0.5"] * 6) + "\n")
+    proc = run_cli(
+        "sample", "--config", str(cfg), "--out", str(tmp / "out"),
+        "--checkpoint", str(path), "--y-obs", str(y_obs),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "data error" in proc.stderr and message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["sample", "abc"])

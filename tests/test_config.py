@@ -1,8 +1,12 @@
 """Config parsing, canonical serialization, prior grammar."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gbc
 from gbc.config import (
     RunConfig,
     network_spec_from_config,
@@ -63,11 +67,18 @@ def test_file_round_trip(tmp_path):
     assert back.sections == cfg.sections
 
 
-def test_missing_file_and_bad_syntax():
+def test_missing_file_and_bad_syntax(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         RunConfig.from_file("/nonexistent/nowhere.ini")
     with pytest.raises(ConfigError, match="cannot parse"):
         RunConfig.from_text("not a section header\n")
+    bad = tmp_path / "bad.ini"
+    bad.write_text("not a section header\n")
+    with pytest.raises(ConfigError, match=r"cannot parse config file .*bad\.ini"):
+        RunConfig.from_file(bad)
+    bad.write_bytes(b"[run]\nseed = \xff\n")
+    with pytest.raises(ConfigError, match=r"cannot read config file .*bad\.ini"):
+        RunConfig.from_file(bad)
 
 
 def test_typed_access_and_errors():
@@ -164,3 +175,29 @@ def test_optimizer_spec_validation():
     cfg.set("optimizer", "average_tail", 2.0)
     with pytest.raises(ConfigError, match="average_tail"):
         optimizer_spec_from_config(cfg)
+
+
+def test_each_config_key_is_read_once():
+    """Every ``cfg.get_*("section", "key", ...)`` call in the package names
+    a different key, so each key has one reader and one default."""
+    readers = {}
+    for path in sorted(Path(gbc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr.startswith("get_")
+                and len(node.args) >= 2
+            ):
+                continue
+            section, key = node.args[:2]
+            if all(
+                isinstance(a, ast.Constant) and isinstance(a.value, str)
+                for a in (section, key)
+            ):
+                readers.setdefault((section.value, key.value), []).append(
+                    f"{path.name}:{node.lineno}"
+                )
+    assert ("run", "simulator") in readers  # the scan sees the reads
+    repeated = {k: v for k, v in readers.items() if len(v) > 1}
+    assert not repeated, f"config keys read in more than one place: {repeated}"

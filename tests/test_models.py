@@ -12,6 +12,7 @@ from gbc.models import (
     PriorSpec,
     ReferenceTable,
     UniformCoord,
+    _epidemic_batch,
     generate_reference_table,
     make_simulator,
     quantile_index_replicates,
@@ -27,8 +28,8 @@ def _simulate_normal(theta, noise_var, n, rng):
     return NormalLocationSimulator(noise_var, n).simulate([theta], rng.generator)
 
 
-def _simulate_epidemic(theta, pop, weeks, rng, strict=True):
-    sim = EpidemicSimulator(population=pop, weeks=weeks, strict=strict)
+def _simulate_epidemic(theta, pop, weeks, rng):
+    sim = EpidemicSimulator(population=pop, weeks=weeks)
     return sim.simulate(theta, rng.generator)
 
 
@@ -53,10 +54,11 @@ def test_normal_normal_fixed_seed_reproduces():
 
 
 def test_epidemic_zero_transmission_flat_curve():
-    # theta1 = 0 is outside the scenario box; strict=False permits the
-    # boundary case, where nobody new is ever infected.
-    theta = [0.0, 5.0, 4.0, 0.5, 5e-5]
-    curve = _simulate_epidemic(theta, pop=1000, weeks=20, rng=RngStream(3), strict=False)
+    # theta1 = 0 is outside the scenario box the simulator accepts; the
+    # unchecked dynamics take the boundary case, where nobody new is ever
+    # infected.
+    theta = np.array([[0.0, 5.0, 4.0, 0.5, 5e-5]])
+    curve = _epidemic_batch(theta, 1000, 20, RngStream(3).generator, 0.5)[0]
     assert np.all(curve == 5.0)
 
 
@@ -292,4 +294,3 @@ def test_prior_spec_box_and_describe():
     box = prior.box()
     assert box[0] == (0.0, 1.0)
     assert box[1] is None
-    assert "uniform" in prior.describe() and "normal" in prior.describe()

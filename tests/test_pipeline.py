@@ -6,11 +6,55 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbc import models, pipeline
+from gbc import cli, models, pipeline
 from gbc.config import RunConfig
 from gbc.errors import ConfigError
+from gbc.formats import fmt_value, read_csv
+from gbc.rng import RngStream
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# The normal benchmark at toy size. [abc] has no budget key and a raw
+# (unstandardized) tolerance; [fiducial] comes last so tests can add keys.
+TINY_NORMAL = """\
+[run]
+seed = 7
+simulator = normal-location
+table_rows = 200
+
+[simulator]
+noise_var = 1.0
+n_obs = 6
+
+[prior]
+theta = normal(0,2)
+
+[summary]
+kind = linear
+
+[network]
+psi_hidden = 8
+feature_dim = 8
+n_cos = 4
+g_hidden = 8
+
+[optimizer]
+epochs = 2
+batch_size = 64
+
+[sampling]
+n_draws = 200
+
+[benchmark]
+theta_true = 3.0
+
+[abc]
+epsilons = 1,0.5
+standardize = false
+
+[fiducial]
+budget = 50
+"""
 
 # A box strictly inside the simulator's validity domain on every coordinate.
 NARROW_PRIOR = (
@@ -40,18 +84,18 @@ def test_epidemic_benchmark_stays_in_prior_box(monkeypatch):
 
     design, predictive = [], []
     simulate_batch = models.EpidemicSimulator.simulate_batch
-    simulate_unchecked = pipeline._simulate_unchecked
+    simulate_weeks = models.EpidemicSimulator.simulate_weeks
 
     def record_design(self, thetas, gen):
         design.append(np.array(thetas))
         return simulate_batch(self, thetas, gen)
 
-    def record_predictive(simulator, thetas, gen):
+    def record_predictive(self, thetas, gen):
         predictive.append(np.array(thetas))
-        return simulate_unchecked(simulator, thetas, gen)
+        return simulate_weeks(self, thetas, gen)
 
     monkeypatch.setattr(models.EpidemicSimulator, "simulate_batch", record_design)
-    monkeypatch.setattr(pipeline, "_simulate_unchecked", record_predictive)
+    monkeypatch.setattr(models.EpidemicSimulator, "simulate_weeks", record_predictive)
     pipeline.benchmark_epidemic(cfg, 3)
 
     box = np.array(
@@ -82,3 +126,52 @@ def test_row_quantile_matches_numpy_quantile():
             assert got[i].tobytes() == np.float64(want).tobytes()
     single = pipeline._row_quantile(np.array([[3.0], [5.0]]), np.array([0.0, 1.0]))
     assert np.array_equal(single, [3.0, 5.0])
+
+
+def test_benchmark_normal_abc_rows_match_gbc_abc(tmp_path):
+    # Both read [abc] the same way: same budget default, same summary and
+    # standardization, so the same acceptance count at every epsilon.
+    path = tmp_path / "run.ini"
+    path.write_text(TINY_NORMAL)
+    cfg = RunConfig.from_file(path)
+    result = pipeline.benchmark_normal(cfg, 7)
+    bench_counts = [row[2] for row in result.rows if row[0] == "abc"]
+
+    # The benchmark's y_obs: [simulator] at theta_true, its "y-obs" stream.
+    y_obs = models.NormalLocationSimulator(noise_var=1.0, n_obs=6).simulate(
+        np.array([3.0]), RngStream(7).child("y-obs").generator
+    )
+    (tmp_path / "y.csv").write_text(",".join(fmt_value(v) for v in y_obs) + "\n")
+    out = tmp_path / "abc"
+    argv = ["abc", "--config", str(path), "--out", str(out),
+            "--y-obs", str(tmp_path / "y.csv")]
+    assert cli.main(argv) == 0
+    header, sweep = read_csv(out / "abc_sweep.csv", header=True)
+    assert header == ["epsilon", "n_proposals", "n_accepted", "acceptance_rate"]
+    assert list(sweep[:, 1]) == [100_000, 100_000]
+    assert bench_counts == [int(n) for n in sweep[:, 2]]
+
+
+def test_benchmark_normal_rejects_meanvar_fiducial_before_training(
+    tmp_path, monkeypatch, capsys
+):
+    path = tmp_path / "run.ini"
+    path.write_text(TINY_NORMAL + "model = normal-meanvar\n")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("the benchmark built a table before checking [fiducial]")
+
+    monkeypatch.setattr(pipeline, "build_table", no_training)
+    argv = ["benchmark-normal", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "[fiducial] model = location" in capsys.readouterr().err
+
+
+def test_benchmark_normal_reports_a_fiducial_run_with_no_acceptances(tmp_path):
+    # [fiducial] epsilon = 0 rejects every draw: a failed row, not an error.
+    path = tmp_path / "run.ini"
+    path.write_text(TINY_NORMAL + "epsilon = 0\n")
+    result = pipeline.benchmark_normal(RunConfig.from_file(path), 7)
+    assert result.rows[-1][:5] == ["fiducial", "nan", 0, 0.0, "nan"]
+    assert result.rows[-1][-1] == "no"
+    assert not result.ok
