@@ -358,8 +358,9 @@ def fiducial_location(y0, epsilon, budget, rng) -> FiducialResult:
 
 def fiducial_normal_meanvar(y_bar, s2, n, epsilon, budget, rng) -> FiducialResult:
     """Fiducial draws of (mu, sigma^2) from n observations seen through
-    their mean y_bar and sample variance s2: y_bar = mu + sigma u0 and
-    s2 = sigma^2 u1, with u0 ~ N(0, 1/n) and u1 ~ Gamma(n/2, scale 2/n).
+    their mean y_bar and ddof=1 sample variance s2: y_bar = mu + sigma u0
+    and s2 = sigma^2 u1, with u0 ~ N(0, 1/n) and u1 ~ Gamma((n-1)/2,
+    scale 2/(n-1)), the law of (n-1) s2 / sigma^2 ~ chi^2_{n-1} over n-1.
 
     mu is searched within y_bar +- 12 sample sds, sigma^2 within
     [s2 / 50, 50 s2].
@@ -368,7 +369,8 @@ def fiducial_normal_meanvar(y_bar, s2, n, epsilon, budget, rng) -> FiducialResul
     return fiducial_rejection(
         G=lambda u, th: np.array([th[0] + np.sqrt(th[1]) * u[0], th[1] * u[1]]),
         sample_u=lambda gen: np.array(
-            [gen.normal(0.0, math.sqrt(1.0 / n)), gen.gamma(n / 2.0, 2.0 / n)]
+            [gen.normal(0.0, math.sqrt(1.0 / n)),
+             gen.gamma((n - 1) / 2.0, 2.0 / (n - 1))]
         ),
         y_obs=np.array([y_bar, s2]),
         epsilon=epsilon,

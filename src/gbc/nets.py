@@ -125,12 +125,13 @@ class FeedForwardNet:
         out = h[0] if squeeze else h
         return out, (records, squeeze)
 
-    def backward(self, cache, out_grad):
+    def backward(self, cache, out_grad, input_grad=True):
         """Exact gradients of ``sum(out_grad * forward(x))``.
 
         Returns ``(param_grads, input_grad)`` where ``param_grads`` is a flat
         list aligned with :meth:`parameters` and ``input_grad`` matches the
-        shape of the forward input.
+        shape of the forward input. With ``input_grad=False`` the first
+        layer's ``g @ W.T`` is skipped and ``None`` returned in its place.
         """
         records, squeeze = cache
         g = np.asarray(out_grad, dtype=np.float64)
@@ -144,6 +145,8 @@ class FeedForwardNet:
                 g = g * (z > 0.0)
             grads[2 * i] = inp.T @ g
             grads[2 * i + 1] = g.sum(axis=0)
+            if i == 0 and not input_grad:
+                return grads, None
             g = g @ lay.weight.T
         return grads, (g[0] if squeeze else g)
 
@@ -212,23 +215,33 @@ def run_gradient_check(n_nets, rng, h=1e-5):
     Architectures, parameters, probe inputs, and output weights are all drawn
     from ``rng``. Probe inputs that land within 10h of a ReLU kink are
     redrawn (finite differences straddle the kink there, so the comparison
-    would measure the probe, not the gradient).
+    would measure the probe, not the gradient). A net that no probe clears
+    within the redraw budget, such as one with a dead layer feeding zero
+    biases, is replaced by a freshly drawn net.
     """
     gen = rng.generator
     worst = 0.0
     for _ in range(n_nets):
+        net, x = _checkable_net(rng, h)
+        out_grad = gen.normal(size=net.output_dim)
+        worst = max(worst, gradient_check(net, x, out_grad, h=h))
+    return worst
+
+
+def _checkable_net(rng, h):
+    """A random small net from ``rng`` and a probe input more than 10h from
+    every ReLU kink of it."""
+    gen = rng.generator
+    while True:
         depth = int(gen.integers(1, 4))
         dims = [int(gen.integers(1, 9))]
         dims += [int(gen.integers(2, 17)) for _ in range(depth)]
         dims.append(int(gen.integers(1, 5)))
         net = FeedForwardNet.create(dims, rng.child(int(gen.integers(0, 2**32))))
-        for attempt in range(50):
+        for _ in range(50):
             x = gen.normal(size=dims[0])
             if _preactivation_margin(net, x) > 10.0 * h:
-                break
-        out_grad = gen.normal(size=dims[-1])
-        worst = max(worst, gradient_check(net, x, out_grad, h=h))
-    return worst
+                return net, x
 
 
 class SgdMomentum:

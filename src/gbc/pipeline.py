@@ -8,7 +8,11 @@ the CLI turns into exit codes.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import stats
@@ -130,25 +134,44 @@ def fit_summary(cfg: RunConfig, table: ReferenceTable, seed):
 
 def train_chain(cfg: RunConfig, table: ReferenceTable, summary: SummaryMap, seed):
     """Train one quantile net per theta coordinate. Returns
-    (Checkpoint, loss trace array of shape (epochs, d))."""
-    net_spec = network_spec_from_config(cfg)
-    opt_spec = optimizer_spec_from_config(cfg)
-    root = RngStream(seed)
-    nets = []
-    traces = []
-    for k in range(table.theta_dim):
-        net, losses = train_iqn(
-            table, summary, k, net_spec, opt_spec, root.child(f"train-{k}")
-        )
-        nets.append(net)
-        traces.append(losses)
+    (Checkpoint, loss trace array of shape (epochs, d)).
+
+    Net k trains on the table's true theta_<k with its own ``train-{k}``
+    stream, so the nets do not depend on each other. They train in up to
+    ``min(d, CPUs)`` forked worker processes; with one worker (d = 1 or one
+    CPU) they train in this process and no pool starts. Fork hands the
+    workers the parent's BLAS settings, so every net's bytes are the same
+    as from a serial loop whatever the worker count.
+    """
+    train = partial(
+        _train_coordinate, table, summary,
+        network_spec_from_config(cfg), optimizer_spec_from_config(cfg), seed,
+    )
+    d = table.theta_dim
+    workers = min(d, len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        trained = [train(k) for k in range(d)]
+    else:
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            # map yields in k order and cancels the nets not yet started
+            # when one raises.
+            trained = list(pool.map(train, range(d)))
     ckpt = Checkpoint(
         summary=summary,
-        nets=nets,
+        nets=[net for net, _ in trained],
         table_seed=table.seed,
         config_hash=cfg.config_hash(),
     )
-    return ckpt, np.column_stack(traces)
+    return ckpt, np.column_stack([losses for _, losses in trained])
+
+
+def _train_coordinate(table, summary, net_spec, opt_spec, seed, k):
+    """``train_iqn`` for coordinate k on its ``train-{k}`` stream; the unit
+    of work of :func:`train_chain`, module-level so a worker can run it."""
+    return train_iqn(
+        table, summary, k, net_spec, opt_spec, RngStream(seed).child(f"train-{k}")
+    )
 
 
 def abc_stage(cfg: RunConfig, simulator, prior, y_obs, rng):

@@ -198,7 +198,7 @@ def train_iqn(
         # d(mean pinball)/d(out) = (1[u<0] - tau) / batch
         dout = (((u < 0.0) - taub) / len(idx))[:, None]
         grads_g, dh = g.backward(cache_g, dout)
-        grads_psi, _ = psi.backward(cache_psi, dh * b)
+        grads_psi, _ = psi.backward(cache_psi, dh * b, input_grad=False)
         grads_phi = phi.backward(cache_phi, dh * a)
         return loss, grads_psi + grads_phi + grads_g
 

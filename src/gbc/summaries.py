@@ -158,7 +158,9 @@ def fit_posterior_mean_net(
         out, cache = net.forward_cached(x_train[idx])
         resid = out - t_train[idx]
         loss = float(np.sum(resid**2 * t_sd**2))
-        grads, _ = net.backward(cache, (2.0 / (len(idx) * d)) * resid)
+        grads, _ = net.backward(
+            cache, (2.0 / (len(idx) * d)) * resid, input_grad=False
+        )
         return loss, grads
 
     losses = train_minibatch(

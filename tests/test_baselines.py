@@ -11,6 +11,7 @@ from gbc.baselines import (
     AbcConfig,
     abc_epsilon_sweep,
     abc_rejection,
+    fiducial_normal_meanvar,
     fiducial_rejection,
     golden_section,
     reverify_abc,
@@ -252,6 +253,18 @@ def test_fiducial_location_model_matches_normal_law():
     assert res.acceptance_rate == 1.0
     ks = stats.kstest(res.thetas[:, 0], "norm", args=(y, 1.0))
     assert ks.pvalue > 0.01
+
+
+def test_fiducial_meanvar_variance_follows_the_sample_variance_law():
+    # With s2 the ddof=1 sample variance, (n-1) s2 / sigma^2 ~ chi^2_{n-1},
+    # so epsilon = inf gives sigma^2 ~ InvGamma((n-1)/2, scale (n-1) s2 / 2).
+    # The old Gamma(n/2, 2/n) pivot failed this at p = 7.7e-10.
+    n, s2 = 10, 4.0
+    res = fiducial_normal_meanvar(1.0, s2, n, np.inf, 20_000,
+                                  RngStream(0).child("fiducial"))
+    assert res.n_accepted == 20_000
+    law = stats.invgamma((n - 1) / 2, scale=(n - 1) * s2 / 2)
+    assert stats.kstest(res.thetas[:, 1], law.cdf).pvalue > 0.01
 
 
 def test_fiducial_skips_unconverged_solves():

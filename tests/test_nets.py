@@ -95,9 +95,41 @@ def test_batched_backward_sums_over_batch():
         assert np.allclose(a, b, atol=1e-12)
 
 
+def test_backward_without_input_gradient_keeps_parameter_gradients():
+    for squeeze, dims in ((True, [3, 7, 5, 2]), (False, [4, 6, 1])):
+        net = FeedForwardNet.create(dims, RngStream(43))
+        gen = RngStream(44).generator
+        x = gen.normal(size=dims[0] if squeeze else (9, dims[0]))
+        og = gen.normal(size=dims[-1] if squeeze else (9, dims[-1]))
+        _, cache = net.forward_cached(x)
+        full, in_grad = net.backward(cache, og)
+        params_only, skipped = net.backward(cache, og, input_grad=False)
+        assert in_grad.shape == x.shape and skipped is None
+        assert len(full) == len(params_only)
+        for a, b in zip(full, params_only):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_run_gradient_check_hundred_nets():
     worst = run_gradient_check(100, RngStream(2024))
     assert worst < 1e-5
+
+
+def test_run_gradient_check_redraws_a_net_stuck_at_a_kink():
+    # Seed 2 draws a net whose 2-unit layer is dead for every probe, so each
+    # probe sits on a ReLU kink; checking it there reported an error of 0.5.
+    assert run_gradient_check(3, RngStream(2).child("gradcheck")) < 1e-5
+
+
+def test_run_gradient_check_catches_a_wrong_backward(monkeypatch):
+    backward = FeedForwardNet.backward
+
+    def off_by_a_tenth(self, cache, out_grad, input_grad=True):
+        grads, in_grad = backward(self, cache, out_grad, input_grad)
+        return [1.1 * g for g in grads], in_grad
+
+    monkeypatch.setattr(FeedForwardNet, "backward", off_by_a_tenth)
+    assert run_gradient_check(3, RngStream(2).child("gradcheck")) > 1e-2
 
 
 def test_finite_difference_helper_agrees_with_itself():

@@ -1,5 +1,6 @@
-"""Pipeline studies: what the epidemic benchmark reads from its config and
-how its predictive check reduces replicate curves."""
+"""Pipeline studies: what the epidemic benchmark reads from its config, how
+its predictive check reduces replicate curves, and how the quantile chain is
+trained across worker processes."""
 
 from pathlib import Path
 
@@ -7,10 +8,13 @@ import numpy as np
 import pytest
 
 from gbc import cli, models, pipeline
-from gbc.config import RunConfig
-from gbc.errors import ConfigError
+from gbc.checkpoint import Checkpoint, save_checkpoint
+from gbc.config import RunConfig, network_spec_from_config, optimizer_spec_from_config
+from gbc.errors import ConfigError, TrainingDivergence
 from gbc.formats import fmt_value, read_csv
+from gbc.quantile import train_iqn
 from gbc.rng import RngStream
+from gbc.summaries import fit_linear_summary
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -175,3 +179,112 @@ def test_benchmark_normal_reports_a_fiducial_run_with_no_acceptances(tmp_path):
     assert result.rows[-1][:5] == ["fiducial", "nan", 0, 0.0, "nan"]
     assert result.rows[-1][-1] == "no"
     assert not result.ok
+
+
+# ---------------------------------------------------------------------------
+# Chain training in worker processes.
+
+CHAIN_CONFIG = """\
+[network]
+psi_hidden = 8
+feature_dim = 8
+n_cos = 4
+g_hidden = 8
+
+[optimizer]
+epochs = 3
+batch_size = 32
+"""
+
+
+def _chain_inputs(d, text=CHAIN_CONFIG):
+    gen = RngStream(51).generator
+    thetas = gen.normal(size=(90, d))
+    ys = thetas @ gen.normal(size=(d, 4)) + 0.3 * gen.normal(size=(90, 4))
+    table = models.ReferenceTable(
+        thetas=thetas, ys=ys, seed=51, simulator="normal-location"
+    )
+    return RunConfig.from_text(text), table, fit_linear_summary(table)
+
+
+def _checkpoint_bytes(ckpt, path):
+    save_checkpoint(path, ckpt)
+    return path.read_bytes()
+
+
+class _PoolSpy:
+    """Records the worker counts of the pools train_chain starts."""
+
+    def __init__(self, monkeypatch):
+        self.workers = []
+        pool = pipeline.ProcessPoolExecutor
+
+        def start(max_workers, **kwargs):
+            self.workers.append(max_workers)
+            return pool(max_workers, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", start)
+
+
+@pytest.mark.parametrize("cpus, pools", [(1, []), (4, [3])])
+def test_train_chain_matches_a_serial_loop_at_any_worker_count(
+    monkeypatch, tmp_path, cpus, pools
+):
+    cfg, table, summary = _chain_inputs(3)
+    net_spec = network_spec_from_config(cfg)
+    opt_spec = optimizer_spec_from_config(cfg)
+    serial = [
+        train_iqn(table, summary, k, net_spec, opt_spec,
+                  RngStream(8).child(f"train-{k}"))
+        for k in range(3)
+    ]
+    want = Checkpoint(summary=summary, nets=[net for net, _ in serial],
+                      table_seed=table.seed, config_hash=cfg.config_hash())
+    want_trace = np.column_stack([losses for _, losses in serial])
+
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    spy = _PoolSpy(monkeypatch)
+    ckpt, trace = pipeline.train_chain(cfg, table, summary, 8)
+    assert spy.workers == pools
+    assert trace.shape == (3, 3) and trace.tobytes() == want_trace.tobytes()
+    assert (_checkpoint_bytes(ckpt, tmp_path / "pool.gbcq")
+            == _checkpoint_bytes(want, tmp_path / "serial.gbcq"))
+
+
+def test_train_chain_reraises_a_worker_divergence(monkeypatch):
+    # At this lr the last net diverges while the first two train, so the
+    # error comes from a worker after others have returned.
+    cfg, table, summary = _chain_inputs(
+        3, CHAIN_CONFIG + "method = sgd\nlr = 1e12\n"
+    )
+    net_spec = network_spec_from_config(cfg)
+    opt_spec = optimizer_spec_from_config(cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(2):
+            train_iqn(table, summary, k, net_spec, opt_spec,
+                      RngStream(8).child(f"train-{k}"))
+        with pytest.raises(TrainingDivergence) as serial:
+            train_iqn(table, summary, 2, net_spec, opt_spec,
+                      RngStream(8).child("train-2"))
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1})
+        spy = _PoolSpy(monkeypatch)
+        with pytest.raises(TrainingDivergence) as pooled:
+            pipeline.train_chain(cfg, table, summary, 8)
+    assert spy.workers == [2]
+    assert str(pooled.value) == str(serial.value)
+    assert "quantile training" in str(pooled.value)
+    assert pooled.value.epoch is not None
+    assert pooled.value.epoch == serial.value.epoch
+
+
+def test_one_parameter_chain_starts_no_worker(monkeypatch):
+    cfg, table, summary = _chain_inputs(1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-net chain started a worker pool")
+
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+    ckpt, trace = pipeline.train_chain(cfg, table, summary, 8)
+    assert len(ckpt.nets) == 1 and trace.shape == (3, 1)
+    assert np.all(np.isfinite(trace))
