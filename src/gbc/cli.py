@@ -262,6 +262,17 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
+def _draw_count(text):
+    """argparse type of ``--draws``: an integer >= 0 (else exit 2)."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gbc",
@@ -304,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--checkpoint", help="model checkpoint (default out/model.gbcq)")
     p.add_argument("--y-obs", help="observed data CSV (single row)")
-    p.add_argument("--draws", type=int, default=1000, help="number of draws")
+    p.add_argument("--draws", type=_draw_count, default=1000, help="number of draws")
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("abc", help="ABC rejection with an epsilon sweep")

@@ -148,7 +148,7 @@ def train_chain(cfg: RunConfig, table: ReferenceTable, summary: SummaryMap, seed
         network_spec_from_config(cfg), optimizer_spec_from_config(cfg), seed,
     )
     d = table.theta_dim
-    workers = min(d, len(os.sched_getaffinity(0)))
+    workers = min(d, _cpu_count())
     if workers <= 1:
         trained = [train(k) for k in range(d)]
     else:
@@ -164,6 +164,14 @@ def train_chain(cfg: RunConfig, table: ReferenceTable, summary: SummaryMap, seed
         config_hash=cfg.config_hash(),
     )
     return ckpt, np.column_stack([losses for _, losses in trained])
+
+
+def _cpu_count():
+    """CPUs this process may run on: its affinity set where the platform has
+    one (Linux), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _train_coordinate(table, summary, net_spec, opt_spec, seed, k):

@@ -23,6 +23,13 @@ import numpy as np
 from .nets import FeedForwardNet, OptimizerSpec, train_minibatch
 from .summaries import SummaryMap, apply_summary
 
+# Quantile evaluation runs the net on row blocks of this many rows, so each
+# block's temporaries stay in cache. Every block starts at a multiple of it:
+# the bytes of a row of a BLAS product can depend on the row's position mod
+# the kernel's unroll (rows of the (M, 64) @ (64, 1) output layer on position
+# mod 4), and 1,024 keeps every row where the whole-array product puts it.
+SAMPLE_BLOCK_ROWS = 1024
+
 
 @dataclass
 class CosineEmbedding:
@@ -127,15 +134,23 @@ class ImplicitQuantileNet:
 
         cond is one conditioning vector (c,) shared by all taus, or a batch
         (B, c) paired with taus of length B.
+
+        Runs in row blocks (``_row_blocks``), so each block's temporaries
+        stay in cache. The values are the same bytes as one whole-array
+        pass.
         """
         cond = np.asarray(cond, dtype=np.float64)
         taus = np.asarray(taus, dtype=np.float64)
         if cond.ndim == 1:
             cond = np.broadcast_to(cond, (taus.shape[0], cond.shape[0]))
-        z = (cond - self.cond_mean) / self.cond_sd
-        a = self.psi.forward(z)
-        b = self.phi.forward(taus)
-        out = self.g.forward(a * b)[:, 0]
+        if cond.shape[0] != taus.shape[0]:
+            raise ValueError(
+                f"{cond.shape[0]} conditioning rows for {taus.shape[0]} quantile levels"
+            )
+        out = np.empty(taus.shape[0])
+        for rows in _row_blocks(taus.shape[0]):
+            a = self.psi.forward((cond[rows] - self.cond_mean) / self.cond_sd)
+            out[rows] = self.g.forward(a * self.phi.forward(taus[rows]))[:, 0]
         return out * self.target_sd + self.target_mean
 
 
@@ -259,6 +274,17 @@ class AutoregressiveQuantileModel:
                 "chains; sample() the joint model instead"
             )
         return self.nets[0].quantile_values(self._summary_of(y_obs), np.asarray(taus))
+
+
+def _row_blocks(n_rows):
+    """Slices of ``SAMPLE_BLOCK_ROWS`` rows covering ``range(n_rows)``. A
+    trailing one-row block joins the block before it: NumPy sends a one-row
+    product to BLAS's gemv path, whose bytes differ from the same row of a
+    larger product."""
+    starts = list(range(0, n_rows, SAMPLE_BLOCK_ROWS))
+    if len(starts) > 1 and n_rows - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
 
 
 def posterior_quantile_curve(model, y_obs, tau_grid):

@@ -332,6 +332,15 @@ def test_threads_is_rejected_where_unused(smoke):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("draws, why", [("-1", "0 or more"), ("ten", "an integer")])
+def test_bad_draw_count_is_a_usage_error(smoke, draws, why):
+    cfg, tmp = smoke
+    proc = run_cli("sample", "--config", str(cfg), "--out", str(tmp), "--draws", draws)
+    assert proc.returncode == 2
+    assert f"argument --draws: must be {why}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_gradcheck_passes_and_reports(smoke):
     proc = run_cli("gradcheck", "--nets", "5", "--seed", "3")
     assert proc.returncode == 0

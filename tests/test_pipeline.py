@@ -277,6 +277,14 @@ def test_train_chain_reraises_a_worker_divergence(monkeypatch):
     assert pooled.value.epoch == serial.value.epoch
 
 
+def test_cpu_count_falls_back_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 3)
+    assert pipeline._cpu_count() == 3
+    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: None)
+    assert pipeline._cpu_count() == 1
+
+
 def test_one_parameter_chain_starts_no_worker(monkeypatch):
     cfg, table, summary = _chain_inputs(1)
 
