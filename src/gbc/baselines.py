@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .summaries import apply_summary
+from .summaries import _safe_sd, apply_summary
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 
@@ -83,9 +83,7 @@ def _abc_pool(simulator, prior, y_obs, cfg, budget, rng, block_size):
         thetas[start:stop] = th
         summaries[start:stop] = _summarize(cfg, simulator.simulate_batch(th, gen))
     if cfg.standardize:
-        first = summaries[: min(budget, block_size)]
-        scale = first.std(axis=0)
-        scale = np.where(scale == 0.0, 1.0, scale)
+        scale = _safe_sd(summaries[: min(budget, block_size)])
     else:
         scale = np.ones(summaries.shape[1])
     dists = np.sqrt(np.sum(((summaries - s_obs) / scale) ** 2, axis=1))

@@ -93,14 +93,16 @@ class RunConfig:
     def get_str(self, section, key, default=None) -> str:
         return str(self.raw(section, key, default))
 
-    def get_int(self, section, key, default=None) -> int:
+    def get_int(self, section, key, default=None, minimum=None) -> int:
         raw = self.raw(section, key, default)
         try:
-            return int(str(raw))
+            value = int(str(raw))
         except ValueError as exc:
             raise ConfigError(
                 f"config key [{section}] {key} must be an integer, got {raw!r}"
             ) from exc
+        _check_minimum(section, key, (value,), minimum)
+        return value
 
     def get_float(self, section, key, default=None) -> float:
         raw = self.raw(section, key, default)
@@ -131,15 +133,25 @@ class RunConfig:
                 f"got {raw!r}"
             ) from exc
 
-    def get_ints(self, section, key, default=None) -> tuple:
+    def get_ints(self, section, key, default=None, minimum=None) -> tuple:
         raw = str(self.raw(section, key, default))
         try:
-            return tuple(int(v) for v in raw.split(",") if v.strip())
+            values = tuple(int(v) for v in raw.split(",") if v.strip())
         except ValueError as exc:
             raise ConfigError(
                 f"config key [{section}] {key} must be comma-separated integers, "
                 f"got {raw!r}"
             ) from exc
+        _check_minimum(section, key, values, minimum)
+        return values
+
+
+def _check_minimum(section, key, values, minimum):
+    if minimum is not None and min(values, default=minimum) < minimum:
+        raise ConfigError(
+            f"config key [{section}] {key} must be {minimum} or more, "
+            f"got {','.join(map(str, values))}"
+        )
 
 
 _COORD_RE = re.compile(
@@ -188,15 +200,16 @@ def simulator_from_config(cfg: RunConfig):
 
 def network_spec_from_config(cfg: RunConfig) -> NetworkSpec:
     return NetworkSpec(
-        psi_hidden=cfg.get_ints("network", "psi_hidden", "64,64"),
-        feature_dim=cfg.get_int("network", "feature_dim", 64),
-        n_cos=cfg.get_int("network", "n_cos", 64),
-        g_hidden=cfg.get_ints("network", "g_hidden", "64,64"),
+        psi_hidden=cfg.get_ints("network", "psi_hidden", "64,64", minimum=1),
+        feature_dim=cfg.get_int("network", "feature_dim", 64, minimum=1),
+        n_cos=cfg.get_int("network", "n_cos", 64, minimum=1),
+        g_hidden=cfg.get_ints("network", "g_hidden", "64,64", minimum=1),
     )
 
 
 def optimizer_spec_from_config(cfg: RunConfig) -> OptimizerSpec:
-    spec = OptimizerSpec(
+    return checked_optimizer_spec(
+        "optimizer",
         method=cfg.get_str("optimizer", "method", "adam"),
         lr=cfg.get_float("optimizer", "lr", 1e-3),
         momentum=cfg.get_float("optimizer", "momentum", 0.9),
@@ -205,17 +218,15 @@ def optimizer_spec_from_config(cfg: RunConfig) -> OptimizerSpec:
         lr_schedule=cfg.get_str("optimizer", "lr_schedule", "step"),
         average_tail=cfg.get_float("optimizer", "average_tail", 0.2),
     )
-    if spec.method not in ("adam", "sgd"):
-        raise ConfigError(
-            f"config key [optimizer] method must be adam or sgd, got {spec.method!r}"
-        )
-    if spec.lr_schedule not in ("step", "constant"):
-        raise ConfigError(
-            f"config key [optimizer] lr_schedule must be step or constant, "
-            f"got {spec.lr_schedule!r}"
-        )
-    if spec.epochs < 1 or spec.batch_size < 1 or spec.lr <= 0:
-        raise ConfigError("[optimizer] epochs, batch_size, lr must be positive")
-    if not 0.0 <= spec.average_tail <= 1.0:
-        raise ConfigError("[optimizer] average_tail must lie in [0, 1]")
-    return spec
+
+
+def checked_optimizer_spec(section, method_key="method", **settings) -> OptimizerSpec:
+    """``OptimizerSpec(**settings)`` for settings read from ``[section]``,
+    where each setting's key is its field name and the method's is
+    ``method_key``. A rejected setting raises ConfigError naming its
+    section and key."""
+    try:
+        return OptimizerSpec(**settings)
+    except ConfigError as exc:
+        key = method_key if exc.key == "method" else exc.key
+        raise ConfigError(f"config key [{section}] {key}: {exc}") from None

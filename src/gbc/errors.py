@@ -11,19 +11,20 @@ class GbcError(Exception):
 
 
 class ConfigError(GbcError):
-    """Invalid or missing run configuration (CLI exit code 2)."""
+    """Invalid or missing run configuration (CLI exit code 2). ``key`` names
+    the rejected setting where one setting is at fault."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class DataError(GbcError):
     """Missing, truncated, or malformed input data or artifacts (exit code 3)."""
 
 
-class TrainingDivergence(GbcError, ValueError):
-    """Training produced a non-finite loss or gradient.
-
-    A ValueError too, so a direct optimizer step on a bad gradient keeps
-    raising the ValueError it always did.
-    """
+class TrainingDivergence(GbcError):
+    """Training produced a non-finite loss or gradient at ``epoch``."""
 
     def __init__(self, message, epoch=None):
         super().__init__(message)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TrainingDivergence
+from .errors import ConfigError, TrainingDivergence
 
 RELU = "relu"
 IDENTITY = "identity"
@@ -245,113 +245,106 @@ def _checkable_net(rng, h):
 
 
 class SgdMomentum:
-    """Stochastic gradient descent with classical momentum.
+    """Stochastic gradient descent with classical momentum on a flat
+    parameter vector of ``size`` entries.
 
     velocity <- momentum * velocity + grad;  param <- param - lr * velocity.
     With momentum = 0 this is plain SGD.
     """
 
-    def __init__(self, lr, momentum=0.0):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
+    def __init__(self, size, lr, momentum):
         self.lr = float(lr)
         self.momentum = float(momentum)
-        self.step_count = 0
-        self._velocity = None
+        self._velocity = np.zeros(size)
 
-    def step(self, params, grads):
-        _check_grads(params, grads)
-        if self._velocity is None:
-            self._velocity = [np.zeros_like(p) for p in params]
-        for p, g, v in zip(params, grads, self._velocity):
-            v *= self.momentum
-            v += g
-            p -= self.lr * v
-        self.step_count += 1
+    def step(self, flat, grad):
+        """One in-place update of ``flat`` by ``grad``."""
+        v = self._velocity
+        v *= self.momentum
+        v += grad
+        flat -= self.lr * v
 
 
 class Adam:
-    """Adaptive-moment estimation with the standard bias correction."""
+    """Adaptive-moment estimation with the standard bias correction, on a
+    flat parameter vector of ``size`` entries."""
 
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, size, lr):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
-        self._m = None
-        self._v = None
-        self._scratch = None
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        self._num = np.empty(size)
+        self._den = np.empty(size)
 
-    def step(self, params, grads):
-        """One in-place update of every block in ``params``.
+    def step(self, flat, grad):
+        """One in-place update of ``flat`` by ``grad``.
 
-        Each block takes ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``,
-        evaluated op by op in that order into two scratch blocks: the bits
-        of the expression without its temporaries.
+        ``flat -= lr * (m / c1) / (sqrt(v / c2) + eps)``, evaluated op by op
+        in that order into two scratch vectors: the bits of the expression
+        without its temporaries.
         """
-        _check_grads(params, grads)
-        if self._m is None:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
-            self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - self.beta1**t
         c2 = 1.0 - self.beta2**t
-        blocks = zip(params, grads, self._m, self._v, self._scratch)
-        for p, g, m, v, (num, den) in blocks:
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=num)
-            m += num
-            v *= self.beta2
-            np.square(g, out=num)
-            num *= 1.0 - self.beta2
-            v += num
-            np.divide(v, c2, out=den)
-            np.sqrt(den, out=den)
-            den += self.eps
-            np.divide(m, c1, out=num)
-            num *= self.lr
-            num /= den
-            p -= num
+        m, v, num, den = self._m, self._v, self._num, self._den
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=num)
+        m += num
+        v *= self.beta2
+        np.square(grad, out=num)
+        num *= 1.0 - self.beta2
+        v += num
+        np.divide(v, c2, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        np.divide(m, c1, out=num)
+        num *= self.lr
+        num /= den
+        flat -= num
 
 
-def _check_grads(params, grads):
-    if len(params) != len(grads):
-        raise ValueError(
-            f"got {len(grads)} gradient blocks for {len(params)} parameter blocks"
-        )
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise ValueError(
-                f"parameter block {i} has shape {p.shape} but gradient "
-                f"has shape {g.shape}"
-            )
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergence(f"non-finite gradient in parameter block {i}")
-
-
-@dataclass
+@dataclass(frozen=True)
 class OptimizerSpec:
+    """Minibatch training settings. Construction checks every setting and
+    raises :class:`ConfigError` whose ``key`` is the rejected field."""
+
     method: str = "adam"  # "adam" | "sgd"
     lr: float = 1e-3
-    momentum: float = 0.9
+    momentum: float = 0.9  # sgd only
     epochs: int = 300
     batch_size: int = 128
     lr_schedule: str = "step"  # "step" | "constant"
     average_tail: float = 0.2  # fraction of final epochs to Polyak-average
 
-    def build(self):
+    def __post_init__(self):
+        rules = (
+            ("method", self.method in ("adam", "sgd"), "adam or sgd"),
+            ("lr", self.lr > 0.0, "positive"),
+            ("momentum", self.method != "sgd" or 0.0 <= self.momentum < 1.0,
+             "in [0, 1) for sgd"),
+            ("epochs", self.epochs >= 1, "a positive integer"),
+            ("batch_size", self.batch_size >= 1, "a positive integer"),
+            ("lr_schedule", self.lr_schedule in ("step", "constant"),
+             "step or constant"),
+            ("average_tail", 0.0 <= self.average_tail <= 1.0, "in [0, 1]"),
+        )
+        for key, ok, rule in rules:
+            if not ok:
+                raise ConfigError(
+                    f"{key} must be {rule}, got {getattr(self, key)!r}", key=key
+                )
+
+    def build(self, size):
+        """The optimizer for a flat parameter vector of ``size`` entries."""
         if self.method == "adam":
-            return Adam(lr=self.lr)
-        if self.method == "sgd":
-            return SgdMomentum(lr=self.lr, momentum=self.momentum)
-        raise ValueError(f"unknown optimizer method {self.method!r}")
+            return Adam(size, self.lr)
+        return SgdMomentum(size, self.lr, self.momentum)
 
     def lr_at(self, epoch):
         """Learning rate for a given epoch.
@@ -364,14 +357,12 @@ class OptimizerSpec:
         """
         if self.lr_schedule == "constant":
             return self.lr
-        if self.lr_schedule == "step":
-            frac = epoch / max(1, self.epochs)
-            if frac >= 0.75:
-                return self.lr * 0.01
-            if frac >= 0.5:
-                return self.lr * 0.1
-            return self.lr
-        raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
+        frac = epoch / self.epochs
+        if frac >= 0.75:
+            return self.lr * 0.01
+        if frac >= 0.5:
+            return self.lr * 0.1
+        return self.lr
 
 
 def flatten_parameters(holders) -> np.ndarray:
@@ -411,12 +402,10 @@ def train_minibatch(
     loss raises :class:`TrainingDivergence` carrying the epoch; ``what``
     names the training in its message.
     """
-    if not 0.0 <= spec.average_tail <= 1.0:
-        raise ValueError("average_tail must lie in [0, 1]")
     flat = flatten_parameters(holders)
     shapes = [a.shape for h in holders for a in (h.weight, h.bias)]
     flat_grad = np.empty_like(flat)
-    optimizer = spec.build()
+    optimizer = spec.build(flat.size)
     losses = np.empty(spec.epochs)
     # Pinball gradients stay O(1) at the optimum, so the iterates never stop
     # jittering; averaging the final stretch of epochs removes that jitter.
@@ -437,14 +426,13 @@ def train_minibatch(
                     f"match parameter shapes {shapes}"
                 )
             np.concatenate([g.ravel() for g in grads], out=flat_grad)
-            try:
-                optimizer.step([flat], [flat_grad])
-            except TrainingDivergence as exc:
+            if not np.all(np.isfinite(flat_grad)):
                 raise TrainingDivergence(
                     f"{what} training produced a non-finite gradient "
-                    f"at epoch {epoch} ({exc})",
+                    f"at epoch {epoch}",
                     epoch=epoch,
-                ) from exc
+                )
+            optimizer.step(flat, flat_grad)
         losses[epoch] = loss_sum / n
         if not np.isfinite(losses[epoch]):
             raise TrainingDivergence(

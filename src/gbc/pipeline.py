@@ -30,6 +30,7 @@ from .baselines import (
 from .checkpoint import Checkpoint
 from .config import (
     RunConfig,
+    checked_optimizer_spec,
     network_spec_from_config,
     optimizer_spec_from_config,
     prior_from_config,
@@ -85,16 +86,13 @@ def build_table(cfg: RunConfig, seed, threads=1) -> ReferenceTable:
             f"prior has {prior.dim} coordinates but simulator "
             f"{simulator.name!r} expects {simulator.theta_dim}"
         )
-    n_rows = cfg.get_int("run", "table_rows")
-    if n_rows < 1:
-        raise ConfigError("[run] table_rows must be positive")
     root = RngStream(seed)
     return generate_reference_table(
         prior,
         simulator,
-        n_rows,
+        cfg.get_int("run", "table_rows", minimum=1),
         root.child("table"),
-        block_size=cfg.get_int("run", "block_size", 4096),
+        block_size=cfg.get_int("run", "block_size", 4096, minimum=1),
         threads=max(1, int(threads)),
     )
 
@@ -112,21 +110,22 @@ def fit_summary(cfg: RunConfig, table: ReferenceTable, seed):
         raise ConfigError(
             f"config key [summary] kind must be linear or network, got {kind!r}"
         )
-    optimizer = cfg.get_str("summary", "optimizer", "adam")
-    if optimizer not in ("adam", "sgd"):
-        raise ConfigError(
-            f"config key [summary] optimizer must be adam or sgd, got {optimizer!r}"
-        )
-    root = RngStream(seed)
-    result = fit_posterior_mean_net(
-        table,
-        root.child("summary"),
-        hidden=cfg.get_ints("summary", "hidden", "64,64"),
+    opt = checked_optimizer_spec(
+        "summary",
+        method_key="optimizer",
+        method=cfg.get_str("summary", "optimizer", "adam"),
+        lr=cfg.get_float("summary", "lr", 1e-3),
+        momentum=cfg.get_float("summary", "momentum", 0.9),
         epochs=cfg.get_int("summary", "epochs", 200),
         batch_size=cfg.get_int("summary", "batch_size", 128),
-        lr=cfg.get_float("summary", "lr", 1e-3),
-        optimizer=optimizer,
-        momentum=cfg.get_float("summary", "momentum", 0.9),
+        lr_schedule="constant",
+        average_tail=0.0,
+    )
+    result = fit_posterior_mean_net(
+        table,
+        RngStream(seed).child("summary"),
+        opt,
+        hidden=cfg.get_ints("summary", "hidden", "64,64", minimum=1),
         log1p_inputs=log1p,
     )
     return result.summary, result.train_losses, result.holdout_loss
@@ -191,12 +190,10 @@ def abc_stage(cfg: RunConfig, simulator, prior, y_obs, rng):
             f"config key [abc] summary must be mean or identity, got {kind!r}"
         )
     epsilons = cfg.get_floats("abc", "epsilons", "2,1,0.5,0.25,0.1")
-    budget = cfg.get_int("abc", "budget", 100_000)
-    block_size = cfg.get_int("abc", "block_size", 4096)
+    budget = cfg.get_int("abc", "budget", 100_000, minimum=1)
+    block_size = cfg.get_int("abc", "block_size", 4096, minimum=1)
     if not epsilons or min(epsilons) < 0:
         raise ConfigError("config key [abc] epsilons must be one or more numbers >= 0")
-    if budget < 1 or block_size < 1:
-        raise ConfigError("config keys [abc] budget and block_size must be positive")
     abc_cfg = AbcConfig(
         epsilon=0.0,
         summary=mean_summary(simulator.y_dim) if kind == "mean" else None,

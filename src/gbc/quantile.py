@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nets import FeedForwardNet, OptimizerSpec, train_minibatch
-from .summaries import SummaryMap, apply_summary
+from .summaries import SummaryMap, _safe_sd, apply_summary
 
 # Quantile evaluation runs the net on row blocks of this many rows, so each
 # block's temporaries stay in cache. Every block starts at a multiple of it:
@@ -180,12 +180,9 @@ def train_iqn(
     target = table.thetas[:, coordinate]
 
     cond_mean = cond.mean(axis=0)
-    cond_sd = cond.std(axis=0)
-    cond_sd = np.where(cond_sd == 0.0, 1.0, cond_sd)
+    cond_sd = _safe_sd(cond)
     t_mean = float(target.mean())
-    t_sd = float(target.std())
-    if t_sd == 0.0:
-        t_sd = 1.0
+    t_sd = float(_safe_sd(target))
     x = (cond - cond_mean) / cond_sd
     t = (target - t_mean) / t_sd
 

@@ -114,17 +114,10 @@ class SummaryFitResult:
 
 
 def fit_posterior_mean_net(
-    table,
-    rng,
-    hidden=(64, 64),
-    epochs=200,
-    batch_size=128,
-    lr=1e-3,
-    optimizer="adam",
-    momentum=0.9,
-    log1p_inputs=False,
+    table, rng, opt: OptimizerSpec, hidden=(64, 64), log1p_inputs=False
 ) -> SummaryFitResult:
-    """Train S(y) ~ E[theta | y] by l2 regression on the reference table.
+    """Train S(y) ~ E[theta | y] by l2 regression on the reference table,
+    with the training settings ``opt``.
 
     The summary dimension equals the parameter dimension (one coordinate per
     theta component). Inputs and targets are z-scored with statistics from
@@ -149,10 +142,6 @@ def fit_posterior_mean_net(
     net = FeedForwardNet.create(
         [ys.shape[1], *hidden, d], rng.child("summary-init")
     )
-    spec = OptimizerSpec(
-        method=optimizer, lr=lr, momentum=momentum, epochs=epochs,
-        batch_size=batch_size, lr_schedule="constant", average_tail=0.0,
-    )
 
     def batch_step(idx, _drawn):
         out, cache = net.forward_cached(x_train[idx])
@@ -164,7 +153,7 @@ def fit_posterior_mean_net(
         return loss, grads
 
     losses = train_minibatch(
-        net.layers, spec, x_train.shape[0],
+        net.layers, opt, x_train.shape[0],
         rng.child("summary-shuffle").generator, batch_step, "summary",
     )
 

@@ -116,8 +116,26 @@ def test_missing_config_key_is_config_error(smoke):
          "[fiducial] epsilon"),
         ("train", [("kind = linear", "kind = network\noptimizer = adagrad")],
          "[summary] optimizer"),
+        ("train", [("kind = linear", "kind = network\nbatch_size = 0")],
+         "[summary] batch_size"),
+        ("train", [("kind = linear", "kind = network\nlr = 0")], "[summary] lr"),
+        ("train", [("kind = linear", "kind = network\nepochs = 0")],
+         "[summary] epochs"),
+        ("train", [("kind = linear", "kind = network\noptimizer = sgd\nmomentum = 1.5")],
+         "[summary] momentum"),
+        ("train", [("[optimizer]", "[optimizer]\nmethod = sgd\nmomentum = 1.5")],
+         "[optimizer] momentum"),
+        ("train", [("kind = linear", "kind = network\nhidden = 8,0")],
+         "[summary] hidden"),
+        ("train", [("psi_hidden = 8", "psi_hidden = 0")], "[network] psi_hidden"),
+        ("train", [("feature_dim = 8", "feature_dim = 0")], "[network] feature_dim"),
+        ("train", [("n_cos = 4", "n_cos = -3")], "[network] n_cos"),
+        ("train", [("g_hidden = 8", "g_hidden = 8,0")], "[network] g_hidden"),
     ],
-    ids=["integer-population", "fiducial-epsilon", "summary-optimizer"],
+    ids=["integer-population", "fiducial-epsilon", "summary-optimizer",
+         "summary-batch-size", "summary-lr", "summary-epochs", "summary-momentum",
+         "optimizer-momentum", "summary-hidden", "psi-hidden", "feature-dim",
+         "n-cos", "g-hidden"],
 )
 def test_bad_config_value_is_config_error(smoke, command, edits, key):
     cfg, tmp = smoke

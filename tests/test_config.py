@@ -1,6 +1,7 @@
 """Config parsing, canonical serialization, prior grammar."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -177,9 +178,9 @@ def test_optimizer_spec_validation():
         optimizer_spec_from_config(cfg)
 
 
-def test_each_config_key_is_read_once():
-    """Every ``cfg.get_*("section", "key", ...)`` call in the package names
-    a different key, so each key has one reader and one default."""
+def _config_reads():
+    """(section, key) -> the ``file:line`` of every ``cfg.get_*("section",
+    "key", ...)`` call in the package."""
     readers = {}
     for path in sorted(Path(gbc.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -199,5 +200,28 @@ def test_each_config_key_is_read_once():
                     f"{path.name}:{node.lineno}"
                 )
     assert ("run", "simulator") in readers  # the scan sees the reads
-    repeated = {k: v for k, v in readers.items() if len(v) > 1}
+    return readers
+
+
+def test_each_config_key_is_read_once():
+    """Every config read in the package names a different key, so each key
+    has one reader and one default."""
+    repeated = {k: v for k, v in _config_reads().items() if len(v) > 1}
     assert not repeated, f"config keys read in more than one place: {repeated}"
+
+
+def test_readme_documents_every_config_key():
+    """README's Configuration section has one bullet per ``[section]``, and
+    that bullet names every key the package reads from the section."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    text = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    bullets = {
+        m.group(1): m.group(2)
+        for m in re.finditer(r"^- `\[(\w+)\]`(.*?)(?=^- `\[|\Z)", text, re.M | re.S)
+    }
+    missing = [
+        f"[{section}] {key}"
+        for section, key in sorted(_config_reads())
+        if not re.search(rf"`{key}[`\s=]", bullets.get(section, ""))
+    ]
+    assert not missing, f"README Configuration does not name: {missing}"

@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+from gbc.errors import ConfigError, TrainingDivergence
 from gbc.nets import (
     Adam,
     FeedForwardNet,
     Layer,
+    OptimizerSpec,
     SgdMomentum,
     finite_difference_gradients,
     flatten_parameters,
     gradient_check,
     run_gradient_check,
+    train_minibatch,
 )
 from gbc.rng import RngStream
 
@@ -149,24 +152,27 @@ def test_dimension_mismatch_raises():
 
 
 def test_sgd_momentum_zero_is_plain_descent():
-    opt = SgdMomentum(lr=0.1, momentum=0.0)
+    opt = OptimizerSpec(method="sgd", lr=0.1, momentum=0.0).build(1)
     p = np.array([1.0])
-    opt.step([p], [np.array([2.0])])
+    opt.step(p, np.array([2.0]))
     assert np.allclose(p, [0.8])
 
 
-def test_sgd_zero_gradient_leaves_params_and_counts_step():
-    opt = SgdMomentum(lr=0.1, momentum=0.9)
+def test_sgd_momentum_accumulates_velocity():
+    opt = OptimizerSpec(method="sgd", lr=0.1, momentum=0.5).build(2)
     p = np.array([1.0, -2.0])
-    opt.step([p], [np.zeros(2)])
-    assert np.allclose(p, [1.0, -2.0])
-    assert opt.step_count == 1
+    opt.step(p, np.zeros(2))
+    assert np.array_equal(p, [1.0, -2.0])
+    opt.step(p, np.array([1.0, 2.0]))
+    opt.step(p, np.array([1.0, 2.0]))
+    # velocities 1, 1.5 (and 2, 3): steps of 0.1 and 0.15 (0.2 and 0.3).
+    assert np.allclose(p, [0.75, -2.5])
 
 
 def test_adam_zero_gradient_leaves_params():
-    opt = Adam(lr=0.01)
+    opt = OptimizerSpec(lr=0.01).build(1)
     p = np.array([3.0])
-    opt.step([p], [np.zeros(1)])
+    opt.step(p, np.zeros(1))
     assert np.allclose(p, [3.0])
     assert opt.step_count == 1
 
@@ -175,34 +181,68 @@ def test_adam_converges_on_quadratic_bowl():
     # minimize (p - 5)^2 + (q + 2)^2; closed-form minimum (5, -2).
     # Default decay rates; step size raised so 5000 steps can cover the
     # distance (Adam moves at most ~lr per step per coordinate).
-    opt = Adam(lr=0.01)
+    opt = OptimizerSpec(lr=0.01).build(2)
     p = np.array([0.0, 0.0])
     for _ in range(5000):
         grad = 2.0 * (p - np.array([5.0, -2.0]))
-        opt.step([p], [grad])
+        opt.step(p, grad)
     assert np.max(np.abs(p - np.array([5.0, -2.0]))) < 1e-3
 
 
-def test_non_finite_gradient_names_parameter_block():
-    opt = Adam()
-    p0, p1 = np.array([1.0]), np.array([2.0])
-    with pytest.raises(ValueError, match="parameter block 1"):
-        opt.step([p0, p1], [np.zeros(1), np.array([np.nan])])
-
-
-def test_optimizer_rejects_mismatched_shapes():
-    opt = SgdMomentum(lr=0.1)
+def test_optimizers_own_state_of_their_size():
+    assert isinstance(OptimizerSpec().build(7), Adam)
+    sgd = OptimizerSpec(method="sgd").build(7)
+    assert isinstance(sgd, SgdMomentum)
     with pytest.raises(ValueError):
-        opt.step([np.zeros(2)], [np.zeros(3)])
+        sgd.step(np.zeros(3), np.zeros(3))
+
+
+def test_train_minibatch_nan_gradient_raises_divergence_with_epoch():
+    layer = Layer(np.zeros((2, 3)), np.zeros(3), "identity")
+    steps = []
+
+    def batch_step(idx, _drawn):
+        steps.append(idx)
+        grad_b = np.zeros(3)
+        if len(steps) == 5:  # the first batch of epoch 2, at two per epoch
+            grad_b[1] = np.nan
+        return float(len(idx)), [np.zeros((2, 3)), grad_b]
+
+    spec = OptimizerSpec(epochs=4, batch_size=5)
+    with pytest.raises(TrainingDivergence, match="test training") as err:
+        train_minibatch([layer], spec, 10, RngStream(73).generator, batch_step, "test")
+    assert err.value.epoch == 2
+
+
+def test_train_minibatch_rejects_gradients_that_do_not_fit_the_holders():
+    layer = Layer(np.zeros((2, 3)), np.zeros(3), "identity")
+
+    def batch_step(idx, _drawn):
+        return float(len(idx)), [np.zeros(6), np.zeros(3)]
+
+    spec = OptimizerSpec(epochs=1, batch_size=5)
+    with pytest.raises(ValueError, match="gradient shapes"):
+        train_minibatch([layer], spec, 10, RngStream(75).generator, batch_step, "test")
 
 
 def test_invalid_hyperparameters_rejected():
-    with pytest.raises(ValueError):
-        SgdMomentum(lr=-1.0)
-    with pytest.raises(ValueError):
-        SgdMomentum(lr=0.1, momentum=1.0)
-    with pytest.raises(ValueError):
-        Adam(lr=0.0)
+    for key, settings in [
+        ("lr", dict(lr=-1.0)),
+        ("momentum", dict(method="sgd", lr=0.1, momentum=1.0)),
+        ("lr", dict(lr=0.0)),
+        ("method", dict(method="rmsprop")),
+        ("epochs", dict(epochs=0)),
+        ("batch_size", dict(batch_size=0)),
+        ("lr_schedule", dict(lr_schedule="warmup")),
+        ("average_tail", dict(average_tail=1.5)),
+    ]:
+        with pytest.raises(ConfigError, match=key) as err:
+            OptimizerSpec(**settings)
+        assert err.value.key == key
+
+
+def test_momentum_is_checked_only_for_sgd():
+    assert OptimizerSpec(method="adam", momentum=1.5).momentum == 1.5
 
 
 def test_flatten_parameters_rebinds_views_into_one_vector():

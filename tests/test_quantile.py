@@ -8,7 +8,7 @@ from scipy import stats
 
 from gbc import quantile
 from gbc.analytic import NormalNormalModel, conjugate_posterior
-from gbc.errors import TrainingDivergence
+from gbc.errors import ConfigError, TrainingDivergence
 from gbc.models import ReferenceTable
 from gbc.quantile import (
     AutoregressiveQuantileModel,
@@ -152,11 +152,10 @@ def test_lr_schedule_step_drops_twice():
 def test_lr_schedule_constant_and_unknown():
     spec = OptimizerSpec(lr=0.01, epochs=10, lr_schedule="constant")
     assert all(spec.lr_at(e) == 0.01 for e in range(10))
-    bad = OptimizerSpec(lr_schedule="warmup")
-    with pytest.raises(ValueError, match="schedule"):
-        bad.lr_at(0)
-    with pytest.raises(ValueError, match="method"):
-        OptimizerSpec(method="rmsprop").build()
+    with pytest.raises(ConfigError, match="schedule"):
+        OptimizerSpec(lr_schedule="warmup")
+    with pytest.raises(ConfigError, match="method"):
+        OptimizerSpec(method="rmsprop")
 
 
 # ----------------------------------------------------------------- training
@@ -233,9 +232,8 @@ def test_train_iqn_validates_inputs():
     )
     with pytest.raises(ValueError, match="empty"):
         train_iqn(empty, _identity_summary(), 0, _SMALL_SPEC, opt, RngStream(0))
-    bad_tail = OptimizerSpec(epochs=2, average_tail=1.5)
-    with pytest.raises(ValueError, match="average_tail"):
-        train_iqn(table, _identity_summary(), 0, _SMALL_SPEC, bad_tail, RngStream(0))
+    with pytest.raises(ConfigError, match="average_tail"):
+        OptimizerSpec(epochs=2, average_tail=1.5)
 
 
 def _iqn_arrays(net):

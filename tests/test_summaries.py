@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gbc import summaries
-from gbc.errors import TrainingDivergence
+from gbc.errors import ConfigError, TrainingDivergence
 from gbc.models import (
     NormalCoord,
     NormalLocationSimulator,
@@ -12,6 +12,7 @@ from gbc.models import (
     ReferenceTable,
     generate_reference_table,
 )
+from gbc.nets import OptimizerSpec
 from gbc.rng import RngStream
 from gbc.summaries import (
     SummaryMap,
@@ -20,6 +21,12 @@ from gbc.summaries import (
     fit_posterior_mean_net,
 )
 from training_reference import reference_train_minibatch
+
+
+def _summary_opt(**settings):
+    """Settings as ``gbc train`` fits a summary net: a constant rate and no
+    tail average."""
+    return OptimizerSpec(lr_schedule="constant", average_tail=0.0, **settings)
 
 
 def _table_from_arrays(thetas, ys, seed=0):
@@ -115,7 +122,7 @@ def test_empty_table_rejected_by_both_fits():
     with pytest.raises(ValueError, match="empty"):
         fit_linear_summary(empty)
     with pytest.raises(ValueError, match="empty"):
-        fit_posterior_mean_net(empty, RngStream(0))
+        fit_posterior_mean_net(empty, RngStream(0), _summary_opt())
 
 
 def test_network_summary_tracks_conditional_mean():
@@ -126,7 +133,7 @@ def test_network_summary_tracks_conditional_mean():
     ys = thetas + 0.5 * gen.normal(size=(6000, 3))
     table = _table_from_arrays(thetas, ys)
     result = fit_posterior_mean_net(
-        table, RngStream(17), hidden=(32, 32), epochs=60, batch_size=256
+        table, RngStream(17), _summary_opt(epochs=60, batch_size=256), hidden=(32, 32)
     )
     s = apply_summary(result.summary, ys)[:, 0]
     corr = np.corrcoef(s, ys.mean(axis=1))[0, 1]
@@ -145,7 +152,7 @@ def test_network_summary_pure_noise_holdout_matches_prior_variance():
     ys = gen.normal(size=(4000, 5))
     table = _table_from_arrays(thetas, ys)
     result = fit_posterior_mean_net(
-        table, RngStream(19), hidden=(16,), epochs=40, batch_size=256
+        table, RngStream(19), _summary_opt(epochs=40, batch_size=256), hidden=(16,)
     )
     holdout_var = np.var(thetas[3600:])
     assert abs(result.holdout_loss - holdout_var) < 0.10 * holdout_var
@@ -159,7 +166,7 @@ def test_network_summary_log1p_handles_count_scales():
     ys = np.exp(thetas + 0.05 * gen.normal(size=(4000, 4)))
     table = _table_from_arrays(thetas, ys)
     result = fit_posterior_mean_net(
-        table, RngStream(21), hidden=(32,), epochs=80, batch_size=256,
+        table, RngStream(21), _summary_opt(epochs=80, batch_size=256), hidden=(32,),
         log1p_inputs=True,
     )
     assert result.summary.log1p_inputs
@@ -176,16 +183,14 @@ def test_network_summary_divergence_is_reported_with_epoch():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDivergence) as err:
             fit_posterior_mean_net(
-                table, RngStream(23), epochs=5, lr=1e12, optimizer="sgd"
+                table, RngStream(23), _summary_opt(method="sgd", epochs=5, lr=1e12)
             )
     assert err.value.epoch is not None
 
 
 def test_unknown_optimizer_rejected():
-    gen = RngStream(24).generator
-    table = _table_from_arrays(gen.normal(size=(64, 1)), gen.normal(size=(64, 2)))
-    with pytest.raises(ValueError, match="optimizer"):
-        fit_posterior_mean_net(table, RngStream(25), optimizer="adagrad")
+    with pytest.raises(ConfigError, match="method"):
+        _summary_opt(method="adagrad")
 
 
 def test_apply_summary_checks_dimension_and_handles_vectors():
@@ -216,10 +221,10 @@ def test_network_summary_matches_per_block_reference(monkeypatch, optimizer):
     thetas = gen.normal(size=(150, 2))
     ys = np.hstack([thetas, thetas.sum(axis=1, keepdims=True)]) + 0.3 * gen.normal(size=(150, 3))
     table = _table_from_arrays(thetas, ys)
-    kwargs = dict(hidden=(16, 8), epochs=12, batch_size=32, lr=3e-3, optimizer=optimizer)
-    fit = fit_posterior_mean_net(table, RngStream(26), **kwargs)
+    opt = _summary_opt(method=optimizer, epochs=12, batch_size=32, lr=3e-3)
+    fit = fit_posterior_mean_net(table, RngStream(26), opt, hidden=(16, 8))
     monkeypatch.setattr(summaries, "train_minibatch", reference_train_minibatch)
-    ref = fit_posterior_mean_net(table, RngStream(26), **kwargs)
+    ref = fit_posterior_mean_net(table, RngStream(26), opt, hidden=(16, 8))
     assert fit.train_losses.tobytes() == ref.train_losses.tobytes()
     assert fit.holdout_loss == ref.holdout_loss
     net, ref_net = fit.summary.net, ref.summary.net
