@@ -133,40 +133,40 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    r = BinaryReader(path, MAGIC, VERSION, "model checkpoint")
-    (table_seed,) = r.unpack("Q")
-    config_hash = r.raw(32)
-    summary = _read_summary(r)
-    (n_nets,) = r.unpack("I")
-    nets = []
-    for k in range(n_nets):
-        psi = _read_net(r)
-        n_cos, m = r.unpack("II")
-        phi = CosineEmbedding(r.array(n_cos, m), r.array(m))
-        g = _read_net(r)
-        (cond_dim,) = r.unpack("I")
-        cond_mean, cond_sd = r.array(cond_dim), r.array(cond_dim)
-        target_mean, target_sd = r.unpack("dd")
-        # Net k conditions on the summary and the k coordinates before it;
-        # psi's features and the embedding multiply, and g maps them to 1.
-        if not psi.output_dim == m == g.input_dim or g.output_dim != 1:
-            raise DataError(
-                f"{r.path}: net {k} has psi output {psi.output_dim}, embedding "
-                f"width {m} and g {g.input_dim} -> {g.output_dim}"
+    with BinaryReader(path, MAGIC, VERSION, "model checkpoint") as r:
+        (table_seed,) = r.unpack("Q")
+        config_hash = r.raw(32)
+        summary = _read_summary(r)
+        (n_nets,) = r.unpack("I")
+        nets = []
+        for k in range(n_nets):
+            psi = _read_net(r)
+            n_cos, m = r.unpack("II")
+            phi = CosineEmbedding(r.array(n_cos, m), r.array(m))
+            g = _read_net(r)
+            (cond_dim,) = r.unpack("I")
+            cond_mean, cond_sd = r.array(cond_dim), r.array(cond_dim)
+            target_mean, target_sd = r.unpack("dd")
+            # Net k conditions on the summary and the k coordinates before it;
+            # psi's features and the embedding multiply, and g maps them to 1.
+            if not psi.output_dim == m == g.input_dim or g.output_dim != 1:
+                raise DataError(
+                    f"{r.path}: net {k} has psi output {psi.output_dim}, embedding "
+                    f"width {m} and g {g.input_dim} -> {g.output_dim}"
+                )
+            if not psi.input_dim == cond_dim == summary.out_dim + k:
+                raise DataError(
+                    f"{r.path}: net {k} conditions on {psi.input_dim} inputs with "
+                    f"{cond_dim} statistics; the chain gives it {summary.out_dim + k}"
+                )
+            nets.append(
+                ImplicitQuantileNet(
+                    psi=psi, phi=phi, g=g,
+                    cond_mean=cond_mean, cond_sd=cond_sd,
+                    target_mean=target_mean, target_sd=target_sd,
+                )
             )
-        if not psi.input_dim == cond_dim == summary.out_dim + k:
-            raise DataError(
-                f"{r.path}: net {k} conditions on {psi.input_dim} inputs with "
-                f"{cond_dim} statistics; the chain gives it {summary.out_dim + k}"
-            )
-        nets.append(
-            ImplicitQuantileNet(
-                psi=psi, phi=phi, g=g,
-                cond_mean=cond_mean, cond_sd=cond_sd,
-                target_mean=target_mean, target_sd=target_sd,
-            )
-        )
-    r.finish()
+        r.finish()
     return Checkpoint(
         summary=summary, nets=nets, table_seed=table_seed, config_hash=config_hash
     )

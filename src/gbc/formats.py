@@ -6,6 +6,13 @@ little-endian, and every array is raw float64, so values round-trip bit for
 bit. A file that cannot be read, has the wrong magic or version, ends early
 or runs on past its last field raises DataError.
 
+Both directions stream: the writer writes each field as it is given and the
+reader reads each field from the open file, so neither holds a copy of the
+whole file. Tables move in blocks of ``ROW_BLOCK`` rows, so the only
+temporary is one block. Every array's declared size is checked against the
+bytes left in the file before anything is allocated for it, so a corrupt
+length ends in DataError, never in a huge allocation.
+
 CSV files print floats to 17 significant digits, which is lossless for
 float64. A CSV file that cannot be read or parsed raises DataError.
 """
@@ -13,11 +20,24 @@ float64. A CSV file that cannot be read or parsed raises DataError.
 from __future__ import annotations
 
 import math
+import os
 import struct
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import DataError
+
+# Rows per block of table I/O (and of the table's finiteness check): about
+# 3 MB at 100 float64 columns, so per-block overhead is negligible and no
+# temporary grows with the table.
+ROW_BLOCK = 4096
+
+
+def _side_by_side(widths) -> list:
+    """The column slice of each width when the widths sit side by side."""
+    edges = [0, *accumulate(widths)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 class BinaryWriter:
@@ -39,59 +59,101 @@ class BinaryWriter:
         """Raw little-endian float64 values, row-major."""
         self.fh.write(np.ascontiguousarray(a, dtype="<f8"))
 
+    def rows(self, *arrays):
+        """The 2-D arrays side by side, row-major: the bytes of
+        ``array(np.hstack(arrays))``, written ROW_BLOCK rows at a time."""
+        n_rows, widths = arrays[0].shape[0], [a.shape[1] for a in arrays]
+        block = np.empty((min(n_rows, ROW_BLOCK), sum(widths)), "<f8")
+        for start in range(0, n_rows, ROW_BLOCK):
+            part = block[: min(n_rows - start, ROW_BLOCK)]
+            for a, cols in zip(arrays, _side_by_side(widths)):
+                part[:, cols] = a[start : start + part.shape[0]]
+            self.fh.write(part)
+
 
 class BinaryReader:
-    """Reads one binary artifact written by BinaryWriter.
+    """Reads one binary artifact written by BinaryWriter, field by field.
 
-    The constructor reads the whole file and checks its magic and version;
-    ``what`` names the artifact in error messages. Call ``finish`` after the
-    last field to reject trailing bytes.
+    Use it as a context manager: the constructor opens the file and checks
+    its magic and version, and leaving the block closes it. ``what`` names
+    the artifact in error messages. Call ``finish`` after the last field to
+    reject trailing bytes.
     """
 
     def __init__(self, path, magic: bytes, version: int, what: str):
-        self.path, self.what, self.pos = path, what, len(magic)
+        self.path, self.what, self.pos = path, what, 0
         try:
-            with open(path, "rb") as fh:
-                self.blob = fh.read()
+            self.fh = open(path, "rb")
         except OSError as exc:
             raise DataError(f"cannot read {what} {path}: {exc}") from exc
-        if self.blob[: len(magic)] != magic:
-            raise DataError(f"{path} is not a {what} file (bad magic)")
-        (found,) = self.unpack("I")
-        if found != version:
-            raise DataError(
-                f"{path}: unsupported {what} format version {found} "
-                f"(this build reads version {version})"
-            )
+        try:
+            self.size = os.fstat(self.fh.fileno()).st_size
+            if self.fh.read(len(magic)) != magic:
+                raise DataError(f"{path} is not a {what} file (bad magic)")
+            self.pos = len(magic)
+            (found,) = self.unpack("I")
+            if found != version:
+                raise DataError(
+                    f"{path}: unsupported {what} format version {found} "
+                    f"(this build reads version {version})"
+                )
+        except BaseException:
+            self.fh.close()
+            raise
 
-    def _advance(self, n) -> int:
-        start = self.pos
-        if start + n > len(self.blob):
-            raise DataError(f"{self.path}: {self.what} truncated at byte {start}")
-        self.pos = start + n
-        return start
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def _claim(self, n) -> None:
+        """Count the next ``n`` bytes as read, or raise DataError if the file
+        ends first. Called before anything of that size is allocated."""
+        if n > self.size - self.pos:
+            raise DataError(f"{self.path}: {self.what} truncated at byte {self.pos}")
+        self.pos += n
+
+    def _fill(self, buf) -> None:
+        """Fill the writable buffer ``buf`` with the file's next bytes."""
+        if self.fh.readinto(buf) != memoryview(buf).nbytes:
+            raise DataError(f"{self.path}: {self.what} shrank while being read")
 
     def unpack(self, fmt: str) -> tuple:
         """The next fields, in the notation BinaryWriter.pack took."""
         fmt = "<" + fmt
-        return struct.unpack_from(fmt, self.blob, self._advance(struct.calcsize(fmt)))
+        return struct.unpack(fmt, self.raw(struct.calcsize(fmt)))
 
     def raw(self, n) -> bytes:
-        start = self._advance(n)
-        return self.blob[start : start + n]
-
-    def view(self, *shape) -> np.ndarray:
-        """The next float64 array as a read-only view of the file's bytes."""
-        count = math.prod(shape)
-        start = self._advance(8 * count)
-        return np.frombuffer(self.blob, "<f8", count, start).reshape(shape)
+        self._claim(n)
+        buf = bytearray(n)
+        self._fill(buf)
+        return bytes(buf)
 
     def array(self, *shape) -> np.ndarray:
-        """The next float64 array, as a copy that owns its memory."""
-        return self.view(*shape).copy()
+        """The next float64 array, read into memory it owns."""
+        self._claim(8 * math.prod(shape))
+        out = np.empty(shape, "<f8")
+        self._fill(out)
+        return out
+
+    def rows(self, n_rows, *widths) -> list:
+        """The next ``n_rows`` x ``sum(widths)`` float64 values, split by
+        column into one ``(n_rows, width)`` array per width: the inverse of
+        BinaryWriter.rows, read ROW_BLOCK rows at a time."""
+        width = sum(widths)
+        self._claim(8 * n_rows * width)
+        outs = [np.empty((n_rows, w), "<f8") for w in widths]
+        block = np.empty((min(n_rows, ROW_BLOCK), width), "<f8")
+        for start in range(0, n_rows, ROW_BLOCK):
+            part = block[: min(n_rows - start, ROW_BLOCK)]
+            self._fill(part)
+            for out, cols in zip(outs, _side_by_side(widths)):
+                out[start : start + part.shape[0]] = part[:, cols]
+        return outs
 
     def finish(self) -> None:
-        extra = len(self.blob) - self.pos
+        extra = self.size - self.pos
         if extra:
             raise DataError(f"{self.path}: {extra} trailing bytes in {self.what}")
 

@@ -4,18 +4,21 @@ A reference table is N rows of (theta, y) with theta drawn from the prior
 and y simulated at that theta — the training corpus for summaries and
 quantile networks. Tables are generated in row blocks, each block on its own
 child stream, so output is bit-identical no matter how many worker threads
-run (and regenerable from seed + config alone).
+run (and regenerable from seed + config alone). Tables are written, read and
+checked for finiteness in blocks of ``formats.ROW_BLOCK`` rows, so no stage
+holds a second copy of a table.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .formats import BinaryReader, BinaryWriter, read_csv, write_csv
+from .formats import ROW_BLOCK, BinaryReader, BinaryWriter, read_csv, write_csv
 from .rng import RngStream
 
 # Parameter box for the epidemic scenario coordinates theta1..theta5:
@@ -110,11 +113,14 @@ class NormalLocationSimulator:
         return gen.normal(float(theta[0]), np.sqrt(self.noise_var), size=self.n_obs)
 
     def simulate_batch(self, thetas, gen):
+        # Bit for bit gen.normal(loc=thetas[:, :1], scale=..., size=...): that
+        # also draws z in C order and returns loc + scale * z, but broadcasts
+        # loc and scale per element, which is slower.
         thetas = np.asarray(thetas, dtype=np.float64)
-        return gen.normal(
-            loc=thetas[:, :1], scale=np.sqrt(self.noise_var),
-            size=(thetas.shape[0], self.n_obs),
-        )
+        ys = gen.standard_normal((thetas.shape[0], self.n_obs))
+        ys *= np.sqrt(self.noise_var)
+        ys += thetas[:, :1]
+        return ys
 
 
 def _epidemic_weeks(thetas, pop, weeks, gen, contact):
@@ -252,8 +258,11 @@ class ReferenceTable:
             raise ValueError("table arrays must be 2-D")
         if self.thetas.shape[0] != self.ys.shape[0]:
             raise ValueError("theta and y row counts differ")
-        if not (np.all(np.isfinite(self.thetas)) and np.all(np.isfinite(self.ys))):
-            raise DataError("reference table contains non-finite values")
+        for start in range(0, self.thetas.shape[0], ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            for part in (self.thetas[rows], self.ys[rows]):
+                if not np.isfinite(part).all():
+                    raise DataError("reference table contains non-finite values")
 
     @property
     def n_rows(self):
@@ -343,7 +352,9 @@ def quantile_index_replicates(curves, probs=EPIDEMIC_QUANTILE_PROBS):
 # Persistence. CSV: one metadata header line "N,d,n,seed,simulator", then one
 # line per row with the theta coordinates followed by the y coordinates.
 # Binary: magic "GBCT", version, u32 N, d, n, u64 seed, u16-prefixed UTF-8
-# simulator name, then the rows as a float64 row-major payload.
+# simulator name, then the rows as a float64 row-major payload. The payload
+# is written and read ROW_BLOCK rows at a time, straight from and into the
+# table's own theta and y arrays.
 
 _GBCT_MAGIC = b"GBCT"
 _GBCT_VERSION = 1
@@ -353,7 +364,7 @@ def write_table_csv(path, table: ReferenceTable) -> None:
     write_csv(
         path,
         [table.n_rows, table.theta_dim, table.y_dim, table.seed, table.simulator],
-        np.hstack([table.thetas, table.ys]),
+        (chain(t, y) for t, y in zip(table.thetas, table.ys)),
     )
 
 
@@ -383,19 +394,16 @@ def write_table_binary(path, table: ReferenceTable) -> None:
             "IIIQH", table.n_rows, table.theta_dim, table.y_dim, table.seed, len(name)
         )
         w.raw(name)
-        w.array(np.hstack([table.thetas, table.ys]))
+        w.rows(table.thetas, table.ys)
 
 
 def read_table_binary(path) -> ReferenceTable:
-    r = BinaryReader(path, _GBCT_MAGIC, _GBCT_VERSION, "reference table")
-    n_rows, d, n, seed, name_len = r.unpack("IIIQH")
-    try:
-        simulator = r.raw(name_len).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: simulator name is not UTF-8: {exc}") from exc
-    data = r.view(n_rows, d + n)
-    r.finish()
-    return ReferenceTable(
-        thetas=data[:, :d].copy(), ys=data[:, d:].copy(),
-        seed=seed, simulator=simulator,
-    )
+    with BinaryReader(path, _GBCT_MAGIC, _GBCT_VERSION, "reference table") as r:
+        n_rows, d, n, seed, name_len = r.unpack("IIIQH")
+        try:
+            simulator = r.raw(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: simulator name is not UTF-8: {exc}") from exc
+        thetas, ys = r.rows(n_rows, d, n)
+        r.finish()
+    return ReferenceTable(thetas=thetas, ys=ys, seed=seed, simulator=simulator)

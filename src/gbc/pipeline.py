@@ -48,7 +48,7 @@ from .models import (
     generate_reference_table,
     quantile_index_replicates,
 )
-from .quantile import posterior_quantile_curve, train_iqn
+from .quantile import checked_tau_grid, posterior_quantile_curve, train_iqn
 from .rng import RngStream
 # apply_summary is unused here but kept importable as pipeline.apply_summary:
 # profilers wrap it under every module name that can call it.
@@ -278,9 +278,13 @@ def benchmark_normal(cfg: RunConfig, seed, threads=1) -> NormalBenchmarkResult:
     )
     post = conjugate_posterior(model)
     sigma = post.sd
-    tau_grid = np.asarray(
-        cfg.get_floats("sampling", "tau_grid", ",".join(map(str, DEFAULT_TAU_GRID)))
-    )
+    try:
+        tau_grid = checked_tau_grid(
+            cfg.get_floats("sampling", "tau_grid", ",".join(map(str, DEFAULT_TAU_GRID)))
+        )
+    except ValueError as exc:
+        raise ConfigError(f"config key [sampling] tau_grid: {exc}") from None
+    n_draws = cfg.get_int("sampling", "n_draws", 10_000, minimum=1)
     failures = []
     rows = []
 
@@ -294,7 +298,6 @@ def benchmark_normal(cfg: RunConfig, seed, threads=1) -> NormalBenchmarkResult:
     qmodel = ckpt.model()
     curve, _crossing = posterior_quantile_curve(qmodel, y_obs, tau_grid)
     max_qerr = float(np.max(np.abs(curve - post.quantile(tau_grid))))
-    n_draws = cfg.get_int("sampling", "n_draws", 10_000)
     draws = qmodel.sample(y_obs, n_draws, root.child("net-sample"))[:, 0]
     net_w1 = w1_distance(draws, post.quantile)
     net_ok = max_qerr < NET_MAX_QERR_SIGMA * sigma and net_w1 < NET_W1_SIGMA * sigma
@@ -409,7 +412,7 @@ def benchmark_epidemic(cfg: RunConfig, seed) -> EpidemicBenchmarkResult:
     except ValueError as exc:
         raise ConfigError(f"[prior] theta: {exc}") from exc
     n_scen = cfg.get_int("benchmark", "scenarios", 100)
-    n_reps = cfg.get_int("benchmark", "replicates", 100)
+    n_reps = cfg.get_int("benchmark", "replicates", 100, minimum=2)
     n_hold = cfg.get_int("benchmark", "holdouts", 3)
     n_draws = cfg.get_int("benchmark", "posterior_draws", 300)
     pred_reps = cfg.get_int("benchmark", "predictive_replicates", 100)

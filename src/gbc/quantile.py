@@ -284,6 +284,19 @@ def _row_blocks(n_rows):
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
 
 
+def checked_tau_grid(tau_grid) -> np.ndarray:
+    """``tau_grid`` as a float64 array; ValueError unless it is a non-empty
+    1-D grid, strictly increasing inside (0, 1)."""
+    tau_grid = np.asarray(tau_grid, dtype=np.float64)
+    if tau_grid.ndim != 1 or tau_grid.size == 0:
+        raise ValueError("tau grid must be a non-empty 1-D array")
+    if np.any(tau_grid <= 0.0) or np.any(tau_grid >= 1.0):
+        raise ValueError("tau grid must lie strictly inside (0, 1)")
+    if tau_grid.size > 1 and np.any(np.diff(tau_grid) <= 0.0):
+        raise ValueError("tau grid must be strictly increasing")
+    return tau_grid
+
+
 def posterior_quantile_curve(model, y_obs, tau_grid):
     """Quantile curve on a grid, monotone-rearranged.
 
@@ -292,13 +305,7 @@ def posterior_quantile_curve(model, y_obs, tau_grid):
     estimate), and crossing_rate is the fraction of adjacent grid pairs the
     raw outputs ordered backwards before sorting.
     """
-    tau_grid = np.asarray(tau_grid, dtype=np.float64)
-    if tau_grid.ndim != 1 or tau_grid.size == 0:
-        raise ValueError("tau grid must be a non-empty 1-D array")
-    if np.any(tau_grid <= 0.0) or np.any(tau_grid >= 1.0):
-        raise ValueError("tau grid must lie strictly inside (0, 1)")
-    if tau_grid.size > 1 and np.any(np.diff(tau_grid) <= 0.0):
-        raise ValueError("tau grid must be strictly increasing")
+    tau_grid = checked_tau_grid(tau_grid)
     raw = np.asarray(model.quantile_values(y_obs, tau_grid), dtype=np.float64)
     if raw.size > 1:
         crossing = float(np.mean(np.diff(raw) < 0.0))

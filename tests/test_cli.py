@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,6 +348,30 @@ def test_threads_is_rejected_where_unused(smoke):
     proc = run_cli("sample", "--config", str(cfg), "--out", str(tmp), "--threads", "2")
     assert proc.returncode == 2
     assert "--threads" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, edit, key",
+    [
+        ("benchmark-normal", "\n[sampling]\ntau_grid = 0.2,0.1\n", "[sampling] tau_grid"),
+        ("benchmark-normal", "\n[sampling]\ntau_grid = 0.5,1.0\n", "[sampling] tau_grid"),
+        ("benchmark-normal", "\n[sampling]\nn_draws = 0\n", "[sampling] n_draws"),
+        ("benchmark-epidemic", ("replicates = 100", "replicates = 1"),
+         "[benchmark] replicates"),
+    ],
+    ids=["tau-grid-decreasing", "tau-grid-at-one", "zero-draws", "one-replicate"],
+)
+def test_bad_benchmark_setting_is_config_error(smoke, command, edit, key):
+    cfg, tmp = smoke
+    if command == "benchmark-epidemic":
+        epidemic = Path(__file__).parents[1] / "configs" / "epidemic.ini"
+        cfg.write_text(epidemic.read_text().replace(*edit))
+    else:
+        cfg.write_text(cfg.read_text() + edit)
+    proc = run_cli(command, "--config", str(cfg), "--out", str(tmp / "out"))
+    assert proc.returncode == 2, proc.stderr
+    assert key in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

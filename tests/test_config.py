@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gbc
+from gbc import pipeline
 from gbc.config import (
     RunConfig,
     network_spec_from_config,
@@ -176,6 +177,31 @@ def test_optimizer_spec_validation():
     cfg.set("optimizer", "average_tail", 2.0)
     with pytest.raises(ConfigError, match="average_tail"):
         optimizer_spec_from_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "run, section, key, value",
+    [
+        ("benchmark_normal", "sampling", "tau_grid", "0.1,0.1"),
+        ("benchmark_normal", "sampling", "tau_grid", "0,0.5"),
+        ("benchmark_normal", "sampling", "tau_grid", ""),
+        ("benchmark_normal", "sampling", "n_draws", "-5"),
+        ("benchmark_epidemic", "benchmark", "replicates", "1"),
+    ],
+)
+def test_benchmark_settings_are_checked_before_any_table(
+    monkeypatch, run, section, key, value
+):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built before the settings were checked")
+
+    monkeypatch.setattr(pipeline, "build_table", no_table)
+    monkeypatch.setattr(pipeline, "lhs_sample", no_table)
+    config = "normal.ini" if run == "benchmark_normal" else "epidemic.ini"
+    cfg = RunConfig.from_file(Path(__file__).parents[1] / "configs" / config)
+    cfg.set(section, key, value)
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")):
+        getattr(pipeline, run)(cfg, seed=0)
 
 
 def _config_reads():

@@ -1,10 +1,15 @@
-"""Artifact codec: every corrupt byte of a table or checkpoint is a DataError."""
+"""Artifact codec: row-block table I/O, and every corrupt byte of a table or
+checkpoint is a DataError."""
+
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gbc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from gbc.errors import DataError
+from gbc.formats import ROW_BLOCK
 from gbc.models import ReferenceTable, read_table_binary, write_table_binary
 from gbc.nets import FeedForwardNet
 from gbc.quantile import CosineEmbedding, ImplicitQuantileNet
@@ -88,3 +93,90 @@ def test_summary_flag_bytes_must_be_zero_or_one(tmp_path, offset):
     path.write_bytes(bytes(blob))
     with pytest.raises(DataError, match="expected 0 or 1"):
         load_checkpoint(path)
+
+
+def _table(n_rows, d, n, seed):
+    gen = RngStream(seed).generator
+    return ReferenceTable(
+        thetas=gen.normal(size=(n_rows, d)), ys=gen.normal(size=(n_rows, n)),
+        seed=seed, simulator="normal-location",
+    )
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "n_rows", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3]
+)
+def test_table_round_trip_across_row_blocks(tmp_path, n_rows):
+    table = _table(n_rows, 2, 5, seed=14)
+    path = tmp_path / "table.gbct"
+    write_table_binary(path, table)
+    # The file is the whole-array layout: header, then every row of
+    # (theta, y) as one row-major float64 payload.
+    name = table.simulator.encode("utf-8")
+    header = b"GBCT" + struct.pack("<IIIIQH", 1, n_rows, 2, 5, 14, len(name)) + name
+    payload = np.hstack([table.thetas, table.ys]).astype("<f8").tobytes()
+    assert path.read_bytes() == header + payload
+    back = read_table_binary(path)
+    assert _same_bits(back.thetas, table.thetas)
+    assert _same_bits(back.ys, table.ys)
+    assert (back.seed, back.simulator) == (table.seed, table.simulator)
+
+
+def _load_traced(path, load):
+    """Load ``path``, expecting DataError; return the peak bytes traced."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="truncated"):
+            load(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("field", ["rows", "theta_dim", "data_dim"])
+def test_table_header_promising_more_than_the_file_holds(tmp_path, field):
+    # Header: magic (4), version (4), then u32 rows, theta dim and data dim.
+    offset = {"rows": 8, "theta_dim": 12, "data_dim": 16}[field]
+    path = tmp_path / "table.gbct"
+    write_table_binary(path, _table(6, 2, 3, seed=16))
+    blob = bytearray(path.read_bytes())
+    blob[offset : offset + 4] = struct.pack("<I", 2**32 - 1)
+    path.write_bytes(bytes(blob))
+    assert _load_traced(path, read_table_binary) < 64 * 1024
+
+
+def test_checkpoint_array_dim_larger_than_the_file(tmp_path):
+    # Header: magic (4), version (4), table seed (8), config hash (32), the
+    # summary kind and log1p bytes, then the linear matrix's u32 k and n.
+    path = tmp_path / "tiny.gbcq"
+    save_checkpoint(path, _tiny_checkpoint("linear"))
+    blob = bytearray(path.read_bytes())
+    blob[54:58] = struct.pack("<I", 2**32 - 1)
+    path.write_bytes(bytes(blob))
+    assert _load_traced(path, load_checkpoint) < 64 * 1024
+
+
+def test_table_io_holds_no_second_copy_of_the_table(tmp_path):
+    """Writing allocates a few row blocks; reading allocates the table's own
+    arrays and a few row blocks. Measured as tracemalloc's peak."""
+    table = _table(50_000, 1, 100, seed=17)
+    table_bytes = table.thetas.nbytes + table.ys.nbytes
+    block_bytes = ROW_BLOCK * 101 * 8
+    path = tmp_path / "table.gbct"
+    tracemalloc.start()
+    try:
+        write_table_binary(path, table)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        back = read_table_binary(path)
+        read_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert _same_bits(back.ys, table.ys)
+    assert write_peak <= 2 * block_bytes, (write_peak, block_bytes)
+    assert read_peak <= table_bytes + 2 * block_bytes, (read_peak, table_bytes)

@@ -33,6 +33,21 @@ def _simulate_epidemic(theta, pop, weeks, rng):
     return sim.simulate(theta, rng.generator)
 
 
+@pytest.mark.parametrize(
+    "rows, n_obs", [(1, 1), (1, 100), (7, 3), (333, 57), (4096, 100)]
+)
+def test_normal_batch_equals_broadcast_normal_draws(rows, n_obs):
+    """simulate_batch scales and shifts standard normals in place; the
+    broadcast ``gen.normal`` call it replaced is the oracle, bit for bit."""
+    sim = NormalLocationSimulator(noise_var=2.5, n_obs=n_obs)
+    thetas = RngStream(3).generator.normal(0.0, 5.0, size=(rows, 1))
+    gen, oracle = RngStream(4).generator, RngStream(4).generator
+    got = sim.simulate_batch(thetas, gen)
+    want = oracle.normal(loc=thetas[:, :1], scale=np.sqrt(2.5), size=(rows, n_obs))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert gen.random() == oracle.random()  # the same draws were consumed
+
+
 def test_normal_normal_rejects_bad_variance():
     with pytest.raises(ConfigError):
         _simulate_normal(0.0, noise_var=0.0, n=5, rng=RngStream(1))
