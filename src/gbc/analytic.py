@@ -1,14 +1,9 @@
-"""Closed-form posterior machinery for the conjugate normal location model.
+"""Closed-form posterior of the conjugate normal location model.
 
 The model: theta ~ N(prior_mean, prior_var), observations y_i | theta
 ~ N(theta, noise_var), i = 1..n. Everything downstream (quantile networks,
 rejection baselines) is validated against this exact posterior, so this
 module is deliberately dependency-light and heavily unit-tested.
-
-It also carries the distortion view of conjugate updating: the posterior
-survival function equals a probability distortion g applied to the prior
-survival function, with g(p) = Phi(lam1 * Phi^{-1}(p) + lam). That identity
-is checked to 1e-10 in the acceptance suite.
 """
 
 from __future__ import annotations
@@ -16,16 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
-
-
-def normal_cdf(x):
-    """Standard normal CDF, vectorized, absolute accuracy ~1e-15."""
-    return ndtr(np.asarray(x, dtype=np.float64))
+from scipy.special import ndtri
 
 
 def normal_quantile(p):
-    """Standard normal quantile for p in (0, 1); inverse of normal_cdf."""
+    """Standard normal quantile for p in (0, 1)."""
     p = np.asarray(p, dtype=np.float64)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
@@ -54,43 +44,20 @@ class NormalNormalModel:
     def data_sum(self) -> float:
         return float(sum(self.y))
 
-    @property
-    def prior_sd(self) -> float:
-        return float(np.sqrt(self.prior_var))
-
 
 @dataclass(frozen=True)
 class AnalyticPosterior:
-    """Exact N(mean, var) posterior plus its distortion coefficients.
-
-    data_sum and total_var are the intermediates s = sum(y) and
-    t = noise_var + n * prior_var; lam1 and lam are the coefficients of the
-    distortion g(p) = Phi(lam1 * Phi^{-1}(p) + lam) that maps the prior
-    survival function onto the posterior survival function.
-    """
+    """The exact N(mean, var) posterior."""
 
     mean: float
     var: float
-    data_sum: float
-    total_var: float
-    lam1: float
-    lam: float
 
     @property
     def sd(self) -> float:
         return float(np.sqrt(self.var))
 
-    def cdf(self, x):
-        return normal_cdf((np.asarray(x, dtype=np.float64) - self.mean) / self.sd)
-
-    def survival(self, x):
-        return normal_cdf((self.mean - np.asarray(x, dtype=np.float64)) / self.sd)
-
     def quantile(self, p):
         return self.mean + self.sd * normal_quantile(p)
-
-    def sample(self, k, rng):
-        return rng.generator.normal(self.mean, self.sd, size=int(k))
 
 
 def conjugate_posterior(model: NormalNormalModel) -> AnalyticPosterior:
@@ -100,81 +67,9 @@ def conjugate_posterior(model: NormalNormalModel) -> AnalyticPosterior:
 
         mean = (noise_var * prior_mean + prior_var * s) / t
         var  = prior_var * noise_var / t
-        lam1 = prior_sd / post_sd          (>= 1, equals 1 iff n = 0)
-        lam  = prior_sd * lam1 * (s - n * prior_mean) / t
 
-    The same formulas cover n = 0 (posterior = prior, identity distortion).
+    The same formulas cover n = 0 (posterior = prior).
     """
-    s = model.data_sum
     t = model.noise_var + model.n * model.prior_var
-    mean = (model.noise_var * model.prior_mean + model.prior_var * s) / t
-    var = model.prior_var * model.noise_var / t
-    sd = float(np.sqrt(var))
-    alpha = model.prior_sd
-    lam1 = alpha / sd
-    lam = alpha * lam1 * (s - model.n * model.prior_mean) / t
-    return AnalyticPosterior(
-        mean=mean, var=var, data_sum=s, total_var=t, lam1=lam1, lam=lam
-    )
-
-
-def wang_distortion(p, lam1, lam):
-    """The distortion g(p) = Phi(lam1 * Phi^{-1}(p) + lam) on (0, 1).
-
-    Endpoints are pinned to g(0) = 0 and g(1) = 1, their limiting values for
-    lam1 > 0.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("distortion argument must lie in [0, 1]")
-    if lam1 <= 0:
-        raise ValueError("lam1 must be positive")
-    out = np.empty_like(p)
-    interior = (p > 0.0) & (p < 1.0)
-    out[interior] = ndtr(lam1 * ndtri(p[interior]) + lam)
-    out[p == 0.0] = 0.0
-    out[p == 1.0] = 1.0
-    return out if out.ndim else float(out)
-
-
-def distortion_identity_gap(model: NormalNormalModel, grid=None):
-    """Max absolute gap in the survival-distortion identity on a theta grid.
-
-    The identity: posterior survival(theta) = g(prior survival(theta)) with
-    g the posterior's own distortion. Zero in exact arithmetic; float64
-    keeps it below ~1e-13 for non-degenerate configurations. The default
-    grid is 401 points spanning the posterior mean +/- 6 posterior sd.
-    """
-    post = conjugate_posterior(model)
-    if grid is None:
-        grid = np.linspace(post.mean - 6.0 * post.sd, post.mean + 6.0 * post.sd, 401)
-    grid = np.asarray(grid, dtype=np.float64)
-    prior_survival = normal_cdf((model.prior_mean - grid) / model.prior_sd)
-    distorted = wang_distortion(prior_survival, post.lam1, post.lam)
-    return float(np.max(np.abs(post.survival(grid) - distorted)))
-
-
-def conditional_quantile_check(
-    post: AnalyticPosterior, prior_mean, prior_var, samples, u_grid=None
-):
-    """Gap in the prior-quantile representation of the posterior.
-
-    The u-quantile of the posterior equals Q_prior(s) where s is the
-    u-quantile of F_prior(theta) under the posterior. This estimates s
-    empirically from posterior draws and returns the max absolute deviation
-    of Q_prior(s) from the exact posterior quantile over ``u_grid``. A
-    validation diagnostic: the gap shrinks as the sample grows.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.size == 0:
-        raise ValueError("need at least one posterior draw")
-    if u_grid is None:
-        u_grid = np.linspace(0.1, 0.9, 9)
-    u_grid = np.asarray(u_grid, dtype=np.float64)
-    prior_sd = float(np.sqrt(prior_var))
-    ranks = normal_cdf((samples - prior_mean) / prior_sd)
-    s = np.quantile(ranks, u_grid, method="linear")
-    s = np.clip(s, 1e-15, 1.0 - 1e-15)
-    via_prior = prior_mean + prior_sd * normal_quantile(s)
-    exact = post.quantile(u_grid)
-    return float(np.max(np.abs(via_prior - exact)))
+    mean = (model.noise_var * model.prior_mean + model.prior_var * model.data_sum) / t
+    return AnalyticPosterior(mean=mean, var=model.prior_var * model.noise_var / t)

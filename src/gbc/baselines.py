@@ -6,14 +6,14 @@ fiducial sampler has known closed-form output on the location model. The
 Wasserstein-1 helper quantifies distance to an analytic law via quantile
 gaps.
 
-Proposals are generated in blocks, one child stream per block, so any
-accepted draw can be re-verified later by regenerating its block.
+ABC proposals are generated in blocks, one child stream per block, so any
+accepted draw can be regenerated from its block's stream alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +26,12 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 class AbcConfig:
     """Uniform-kernel ABC settings.
 
-    epsilon >= 0 is the tolerance on the Euclidean distance between
-    standardized summaries (epsilon = 0 accepts exact summary matches only,
-    which is meaningful for discrete simulators). summary = None means the
-    identity summary (compare raw data vectors). When standardize is true,
+    Tolerances bound the Euclidean distance between standardized summaries
+    (epsilon = 0 accepts exact summary matches only, which is meaningful for
+    discrete simulators). :func:`abc_epsilon_sweep` takes its tolerances as
+    an argument; ``epsilon`` is only checked to be >= 0. summary = None
+    means the identity summary (compare raw data vectors). When standardize
+    is true,
     summary coordinates are divided by their prior-predictive standard
     deviation estimated from the first proposal block, so epsilon is in
     "prior-predictive sd" units.
@@ -53,7 +55,6 @@ class AbcResult:
     epsilon: float
     summary_scale: np.ndarray  # (k,) standardization divisors
     accepted_index: np.ndarray  # global proposal index of each accepted draw
-    block_size: int
     diagnostic: str = ""
 
 
@@ -90,28 +91,16 @@ def _abc_pool(simulator, prior, y_obs, cfg, budget, rng, block_size):
     return thetas, dists, scale
 
 
-def abc_rejection(
-    simulator, prior, y_obs, cfg: AbcConfig, budget, rng, block_size=4096
-) -> AbcResult:
-    """Uniform-kernel ABC: keep prior draws whose summaries land within
-    epsilon of the observed summary.
-
-    Zero acceptances is a valid outcome: the result is empty and carries a
-    diagnostic string instead of raising.
-    """
-    return abc_epsilon_sweep(
-        simulator, prior, y_obs, cfg, [cfg.epsilon], budget, rng, block_size
-    )[0]
-
-
 def abc_epsilon_sweep(
     simulator, prior, y_obs, cfg: AbcConfig, epsilons, budget, rng, block_size=4096
 ) -> list[AbcResult]:
-    """Threshold one shared proposal pool at each epsilon.
+    """Uniform-kernel ABC: keep the prior draws of one shared proposal pool
+    whose summaries land within each epsilon of the observed summary.
 
     Using a single pool makes the accepted sets nested, so acceptance counts
     are monotone in epsilon by construction and sweep rows are directly
-    comparable.
+    comparable. Zero acceptances is a valid outcome: that result is empty
+    and carries a diagnostic string instead of raising.
     """
     epsilons = [float(e) for e in epsilons]
     if any(e < 0 for e in epsilons):
@@ -137,43 +126,10 @@ def abc_epsilon_sweep(
                 epsilon=eps,
                 summary_scale=scale,
                 accepted_index=keep,
-                block_size=block_size,
                 diagnostic=diagnostic,
             )
         )
     return out
-
-
-def reverify_abc(simulator, prior, y_obs, cfg, result: AbcResult, rng) -> bool:
-    """Re-simulate the blocks holding accepted draws and re-check epsilon.
-
-    ``rng`` must be the same stream the original run used; block streams are
-    re-derived from it. Returns True when every accepted draw still meets
-    its constraint (with the recorded standardization scale).
-    """
-    if result.n_accepted == 0:
-        return True
-    s_obs = _summarize(cfg, np.asarray(y_obs, dtype=np.float64))
-    blocks = np.unique(result.accepted_index // result.block_size)
-    for b in blocks:
-        start = int(b) * result.block_size
-        stop = min(result.n_proposals, start + result.block_size)
-        gen = rng.child(int(b)).generator
-        th = prior.sample(gen, stop - start)
-        ys = simulator.simulate_batch(th, gen)
-        s = _summarize(cfg, ys)
-        local = result.accepted_index[
-            (result.accepted_index >= start) & (result.accepted_index < stop)
-        ]
-        rows = local - start
-        d = np.sqrt(np.sum(((s[rows] - s_obs) / result.summary_scale) ** 2, axis=1))
-        if np.any(d > result.epsilon):
-            return False
-        # The regenerated thetas must also match what was accepted.
-        kept = result.thetas[np.searchsorted(result.accepted_index, local)]
-        if not np.array_equal(th[rows], kept):
-            return False
-    return True
 
 
 def golden_section(fn, lo, hi, tol=1e-8, max_iter=200):
@@ -240,7 +196,6 @@ def fiducial_rejection(
     tol=1e-8,
     max_iter=200,
     max_sweeps=50,
-    normalize_dim=False,
 ) -> FiducialResult:
     """Fiducial rejection sampling.
 
@@ -259,9 +214,6 @@ def fiducial_rejection(
     draws, shape (m, n) (or (n,) when m = 1). A G written with elementwise
     NumPy operations on ``u[i]`` and ``theta[j]`` does this. Each draw's
     bracket updates, sweeps and result are those of a per-draw solve.
-
-    With normalize_dim the distance is divided by sqrt(len(y_obs)), making
-    epsilon a per-coordinate RMS tolerance.
     """
     y_obs = np.atleast_1d(np.asarray(y_obs, dtype=np.float64))
     bounds = [(float(lo), float(hi)) for lo, hi in theta_bounds]
@@ -273,18 +225,17 @@ def fiducial_rejection(
     if budget < 1:
         return FiducialResult(np.empty((0, d)), budget, 0, 0, 0.0)
     gen = rng.generator
-    norm = math.sqrt(y_obs.size) if normalize_dim else 1.0
     u = np.stack([np.asarray(sample_u(gen)) for _ in range(budget)], axis=-1)
 
     def distance(idx, theta):
-        """||y_obs - G(u, theta)|| / norm for the draws ``idx``."""
+        """||y_obs - G(u, theta)|| for the draws ``idx``."""
         g = np.asarray(G(u[..., idx], theta), dtype=np.float64)
         if g.ndim < 2:
             g = g.reshape(1, -1)
         resid = np.broadcast_to(y_obs[:, None] - g, (y_obs.size, idx.size))
         # One contiguous row per draw, so each sum adds in the per-draw order.
         resid = np.ascontiguousarray(resid.T)
-        return np.sqrt(np.sum(resid**2, axis=1)) / norm
+        return np.sqrt(np.sum(resid**2, axis=1))
 
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])

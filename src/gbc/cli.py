@@ -85,7 +85,7 @@ def _read_y_obs(args, size=None) -> np.ndarray:
     values if given."""
     if not args.y_obs:
         raise ConfigError(f"{args.command} needs --y-obs FILE")
-    _, data = read_csv(args.y_obs)
+    data = read_csv(args.y_obs)
     if data.shape[0] != 1:
         raise DataError(
             f"{args.y_obs} holds {data.shape[0]} rows; expected a single "

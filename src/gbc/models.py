@@ -5,8 +5,9 @@ and y simulated at that theta — the training corpus for summaries and
 quantile networks. Tables are generated in row blocks, each block on its own
 child stream, so output is bit-identical no matter how many worker threads
 run (and regenerable from seed + config alone). Tables are written, read and
-checked for finiteness in blocks of ``formats.ROW_BLOCK`` rows, so no stage
-holds a second copy of a table.
+checked for finiteness in blocks of ``formats.ROW_BLOCK`` rows, and CSV
+tables are parsed in blocks of ``formats.CSV_BLOCK_LINES`` lines, so no
+stage holds a second copy of a table.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .formats import ROW_BLOCK, BinaryReader, BinaryWriter, read_csv, write_csv
+from .formats import (
+    ROW_BLOCK,
+    BinaryReader,
+    BinaryWriter,
+    open_csv,
+    read_csv_rows,
+    write_csv,
+)
 from .rng import RngStream
 
 # Parameter box for the epidemic scenario coordinates theta1..theta5:
@@ -329,12 +337,10 @@ def generate_reference_table(
 
 
 def quantile_index_replicates(curves, probs=EPIDEMIC_QUANTILE_PROBS):
-    """Reduce replicate curves to pointwise empirical quantile trajectories.
-
-    Returns ``(trajectories, alphas)`` where trajectories has one row per
-    prob (linear-interpolation order statistics, applied per week) and
-    alphas equals ``probs``. Quantile trajectories are non-decreasing in the
-    prob at every week.
+    """Reduce replicate curves to pointwise empirical quantile trajectories:
+    one row per prob (linear-interpolation order statistics, applied per
+    week). Quantile trajectories are non-decreasing in the prob at every
+    week.
     """
     curves = np.asarray(curves, dtype=np.float64)
     if curves.ndim != 2 or curves.shape[0] == 0:
@@ -344,13 +350,13 @@ def quantile_index_replicates(curves, probs=EPIDEMIC_QUANTILE_PROBS):
     probs = np.asarray(probs, dtype=np.float64)
     if np.any(probs <= 0.0) or np.any(probs >= 1.0) or np.any(np.diff(probs) <= 0):
         raise ValueError("probs must be strictly increasing within (0, 1)")
-    traj = np.quantile(curves, probs, axis=0, method="linear")
-    return traj, probs.copy()
+    return np.quantile(curves, probs, axis=0, method="linear")
 
 
 # ---------------------------------------------------------------------------
 # Persistence. CSV: one metadata header line "N,d,n,seed,simulator", then one
-# line per row with the theta coordinates followed by the y coordinates.
+# line per row with the theta coordinates followed by the y coordinates,
+# parsed CSV_BLOCK_LINES lines at a time into the table's own arrays.
 # Binary: magic "GBCT", version, u32 N, d, n, u64 seed, u16-prefixed UTF-8
 # simulator name, then the rows as a float64 row-major payload. The payload
 # is written and read ROW_BLOCK rows at a time, straight from and into the
@@ -369,21 +375,17 @@ def write_table_csv(path, table: ReferenceTable) -> None:
 
 
 def read_table_csv(path) -> ReferenceTable:
-    header, data = read_csv(path, header=True)
-    *dims, simulator = header
-    try:
-        n_rows, d, n, seed = map(int, dims)
-    except ValueError as exc:
-        raise DataError(
-            f"malformed table header in {path}: {','.join(header)!r}"
-        ) from exc
-    if data.shape != (n_rows, d + n):
-        raise DataError(
-            f"table {path} promises {n_rows}x{d + n} values, found {data.shape}"
-        )
-    return ReferenceTable(
-        thetas=data[:, :d], ys=data[:, d:], seed=seed, simulator=simulator
-    )
+    with open_csv(path) as fh:
+        header = fh.readline().strip().split(",")
+        *dims, simulator = header
+        try:
+            n_rows, d, n, seed = map(int, dims)
+        except ValueError as exc:
+            raise DataError(
+                f"malformed table header in {path}: {','.join(header)!r}"
+            ) from exc
+        thetas, ys = read_csv_rows(fh, path, n_rows, d, n)
+    return ReferenceTable(thetas=thetas, ys=ys, seed=seed, simulator=simulator)
 
 
 def write_table_binary(path, table: ReferenceTable) -> None:

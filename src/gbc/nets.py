@@ -198,15 +198,12 @@ def gradient_check(net, x, out_grad, h=1e-5):
 
 def _preactivation_margin(net, x):
     """Smallest |pre-activation| over the ReLU layers at input x."""
-    x = np.asarray(x, dtype=np.float64)
-    h = x.reshape(1, -1) if x.ndim == 1 else x
-    margin = np.inf
-    for lay in net.layers:
-        z = h @ lay.weight + lay.bias
-        if lay.activation == RELU:
-            margin = min(margin, float(np.min(np.abs(z))))
-        h = np.maximum(z, 0.0) if lay.activation == RELU else z
-    return margin
+    _, (records, _) = net.forward_cached(x)
+    return min(
+        (float(np.min(np.abs(z)))
+         for lay, (_, z) in zip(net.layers, records) if lay.activation == RELU),
+        default=np.inf,
+    )
 
 
 def run_gradient_check(n_nets, rng, h=1e-5):

@@ -244,8 +244,11 @@ class NormalBenchmarkResult:
     posterior_mean: float
     posterior_sd: float
     y_bar: float
-    ok: bool
     failures: list
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def benchmark_normal(cfg: RunConfig, seed, threads=1) -> NormalBenchmarkResult:
@@ -314,11 +317,9 @@ def benchmark_normal(cfg: RunConfig, seed, threads=1) -> NormalBenchmarkResult:
 
     sweep = abc_stage(cfg, simulator, prior, y_obs, root.child("abc"))
     last_w1 = None
-    abc_ok = True
     boot = root.child("abc-boot")
     for res in sweep:
         if res.n_accepted == 0:
-            abc_ok = False
             failures.append(f"abc epsilon={res.epsilon}: no acceptances")
             rows.append(
                 ["abc", res.epsilon, 0, 0.0, "nan", "nan", "nan", "nan", "no"]
@@ -328,7 +329,6 @@ def benchmark_normal(cfg: RunConfig, seed, threads=1) -> NormalBenchmarkResult:
         se = w1_bootstrap_se(res.thetas[:, 0], post.quantile, boot.child(len(rows)))
         step_ok = last_w1 is None or w1 <= last_w1 + 2.0 * se
         if not step_ok:
-            abc_ok = False
             failures.append(
                 f"abc W1 increased beyond 2 SE at epsilon={res.epsilon}: "
                 f"{last_w1:.4g} -> {w1:.4g} (se {se:.4g})"
@@ -339,7 +339,6 @@ def benchmark_normal(cfg: RunConfig, seed, threads=1) -> NormalBenchmarkResult:
         )
         last_w1 = w1
     if last_w1 is None or last_w1 >= ABC_FINAL_W1_SIGMA * sigma:
-        abc_ok = False
         failures.append(
             f"abc final W1 {last_w1} not below {ABC_FINAL_W1_SIGMA * sigma:.4g}"
         )
@@ -348,27 +347,28 @@ def benchmark_normal(cfg: RunConfig, seed, threads=1) -> NormalBenchmarkResult:
     y_bar = float(np.mean(y_obs))
     fid = fiducial_stage(cfg, y_obs, root.child("fiducial"))
     fid_draws = fid.thetas[:, 0]
-    ks_stat, ks_p = stats.kstest(fid_draws, "norm", args=(y_bar, 1.0))
-    fid_ok = ks_p > KS_SIGNIFICANCE
-    if not fid_ok:
-        failures.append(
-            f"fiducial location draws fail the Kolmogorov test: "
-            f"stat {ks_stat:.4g}, p {ks_p:.4g}"
-        )
-    fid_w1 = (w1_distance(fid_draws, lambda t: y_bar + stats.norm.ppf(t))
-              if fid.n_accepted else "nan")
+    if fid.n_accepted:
+        ks_stat, ks_p = stats.kstest(fid_draws, "norm", args=(y_bar, 1.0))
+        fid_w1 = w1_distance(fid_draws, lambda t: y_bar + stats.norm.ppf(t))
+        fid_ok = ks_p > KS_SIGNIFICANCE
+        if not fid_ok:
+            failures.append(
+                f"fiducial location draws fail the Kolmogorov test: "
+                f"stat {ks_stat:.4g}, p {ks_p:.4g}"
+            )
+    else:
+        ks_stat, fid_w1, fid_ok = float("nan"), "nan", False
+        failures.append("fiducial: no acceptances")
     rows.append(
         ["fiducial", "nan", fid.n_accepted, fid.acceptance_rate, fid_w1, "nan",
          "nan", ks_stat, "yes" if fid_ok else "no"]
     )
 
-    ok = net_ok and abc_ok and fid_ok
     return NormalBenchmarkResult(
         rows=rows,
         posterior_mean=post.mean,
         posterior_sd=sigma,
         y_bar=y_bar,
-        ok=ok,
         failures=failures,
     )
 
@@ -392,8 +392,11 @@ class EpidemicBenchmarkResult:
     coverage: float
     box_violation_rate: float
     box_violation_by_coord: np.ndarray  # per theta coordinate (alpha last)
-    ok: bool
     failures: list
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def benchmark_epidemic(cfg: RunConfig, seed) -> EpidemicBenchmarkResult:
@@ -430,7 +433,7 @@ def benchmark_epidemic(cfg: RunConfig, seed) -> EpidemicBenchmarkResult:
         gen = root.child(f"scenario-{i}").generator
         tiled = np.broadcast_to(scenarios[i], (n_reps, 5))
         curves = simulator.simulate_batch(tiled, gen)
-        quantile_traj[i], _ = quantile_index_replicates(curves, probs)
+        quantile_traj[i] = quantile_index_replicates(curves, probs)
 
     hold_gen = root.child("holdout").generator
     holdout_ids = sorted(
@@ -521,7 +524,6 @@ def benchmark_epidemic(cfg: RunConfig, seed) -> EpidemicBenchmarkResult:
         coverage=coverage,
         box_violation_rate=box_rate,
         box_violation_by_coord=out_by_coord / max(1, draws_total),
-        ok=coverage >= floor,
         failures=failures,
     )
 

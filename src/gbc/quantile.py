@@ -7,15 +7,10 @@ parameter gets one such net per coordinate, the k-th conditioning on the
 data summary and the previously drawn coordinates, so posterior sampling is
 a single forward sweep per draw: theta_k = f_k(tau_k, s, theta_<k) with
 fresh uniform tau_k.
-
-Expected utilities are computed from the same object through the identity
-E[g(theta)] = integral of g(F^{-1}(tau)) over tau in (0,1), evaluated by
-midpoint quadrature on the monotone-rearranged quantile curve.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,20 +77,6 @@ class CosineEmbedding:
 
     def parameters(self):
         return [self.weight, self.bias]
-
-
-def pinball_loss(tau, u):
-    """Check-function loss rho_tau(u) = u * (tau - 1[u < 0]), >= 0.
-
-    Slope tau to the right of the origin and tau - 1 to the left, so its
-    minimizer over constants is the tau-quantile of the residual law.
-    """
-    tau = np.asarray(tau, dtype=np.float64)
-    if np.any(tau <= 0.0) or np.any(tau >= 1.0):
-        raise ValueError("pinball level must lie strictly inside (0, 1)")
-    u = np.asarray(u, dtype=np.float64)
-    out = u * (tau - (u < 0.0))
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -312,28 +293,3 @@ def posterior_quantile_curve(model, y_obs, tau_grid):
     else:
         crossing = 0.0
     return np.sort(raw), crossing
-
-
-def expected_utility(model, y_obs, utility, quadrature_size=10_000) -> float:
-    """E[utility(theta)] by midpoint quadrature over the quantile curve.
-
-    Uses the identity E[g(theta)] = integral_0^1 g(F^{-1}(tau)) d tau on the
-    rearranged curve. For monotone non-decreasing g the integrand is itself
-    the quantile function of g(theta) (the compositional rule); a
-    non-monotone g is flagged with a warning because that reading fails,
-    but the expectation itself remains valid.
-    """
-    if quadrature_size < 2:
-        raise ValueError("need at least two quadrature nodes")
-    taus = (np.arange(quadrature_size) + 0.5) / quadrature_size
-    curve, _ = posterior_quantile_curve(model, y_obs, taus)
-    values = np.asarray([utility(v) for v in curve], dtype=np.float64)
-    drops = np.diff(values) < 0.0
-    if np.any(drops):
-        warnings.warn(
-            "utility is not monotone non-decreasing on the quantile range; "
-            "the compositional quantile rule does not apply (the expected "
-            "value is still exact)",
-            stacklevel=2,
-        )
-    return float(values.mean())

@@ -38,17 +38,16 @@ def scalar_golden_section(fn, lo, hi, tol=1e-8, max_iter=200):
 
 def per_draw_fiducial(
     G, sample_u, y_obs, epsilon, budget, rng, theta_bounds,
-    tol=1e-8, max_iter=200, max_sweeps=50, normalize_dim=False,
+    tol=1e-8, max_iter=200, max_sweeps=50,
 ) -> FiducialResult:
     y_obs = np.atleast_1d(np.asarray(y_obs, dtype=np.float64))
     bounds = [(float(lo), float(hi)) for lo, hi in theta_bounds]
     d = len(bounds)
     gen = rng.generator
-    norm = math.sqrt(y_obs.size) if normalize_dim else 1.0
 
     def distance(u, theta):
         resid = y_obs - np.atleast_1d(np.asarray(G(u, theta), dtype=np.float64))
-        return float(np.sqrt(np.sum(resid**2))) / norm
+        return float(np.sqrt(np.sum(resid**2)))
 
     accepted = []
     n_skipped = 0

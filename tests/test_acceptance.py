@@ -15,18 +15,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gbc.analytic import (
-    NormalNormalModel,
-    conjugate_posterior,
-    distortion_identity_gap,
-)
-from gbc.baselines import AbcConfig, abc_rejection
+from gbc.analytic import NormalNormalModel, conjugate_posterior
+from gbc.baselines import AbcConfig, abc_epsilon_sweep
 from gbc.config import RunConfig
 from gbc.models import EPIDEMIC_QUANTILE_PROBS, PriorSpec, UniformCoord
 from gbc.nets import run_gradient_check
 from gbc.pipeline import benchmark_epidemic, benchmark_normal, run_seed
-from gbc.quantile import expected_utility
 from gbc.rng import RngStream
+from oracles import distortion_identity_gap, expected_utility
 from quantile_helpers import FunctionQuantileStub
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -222,10 +218,10 @@ def test_criterion_08_beta_posterior_exactness():
 
     prior = PriorSpec((UniformCoord(0.0, 1.0),))
     cfg = AbcConfig(epsilon=0.0, summary=None, standardize=False)
-    res = abc_rejection(
-        TwoCoinFlips(), prior, np.array([1.0, 1.0]), cfg,
+    res = abc_epsilon_sweep(
+        TwoCoinFlips(), prior, np.array([1.0, 1.0]), cfg, [0.0],
         budget=340_000, rng=RngStream(20260816).child("coins"),
-    )
+    )[0]
     enough = res.n_accepted >= 100_000
     mean = float(res.thetas[:100_000, 0].mean()) if enough else float("nan")
     ok = enough and abs(mean - 0.75) < 0.01

@@ -1,4 +1,5 @@
-"""Closed-form conjugate posterior and the survival-function distortion.
+"""Closed-form conjugate posterior, and the test oracles built on it: the
+survival-function distortion and the prior-quantile representation.
 
 Oracles here are independent of the package: mpmath's arbitrary-precision
 erf for the normal CDF, and direct trapezoid integration of
@@ -9,17 +10,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from gbc.analytic import (
-    AnalyticPosterior,
-    NormalNormalModel,
+from gbc.analytic import NormalNormalModel, conjugate_posterior, normal_quantile
+from gbc.rng import RngStream
+from oracles import (
     conditional_quantile_check,
-    conjugate_posterior,
     distortion_identity_gap,
     normal_cdf,
-    normal_quantile,
+    posterior_cdf,
+    posterior_sample,
     wang_distortion,
 )
-from gbc.rng import RngStream
 
 
 def _mpmath_cdf(x):
@@ -108,13 +108,13 @@ def test_posterior_quantile_cdf_are_inverse():
     model = NormalNormalModel(prior_mean=1.0, prior_var=2.0, noise_var=3.0, y=(0.5, 1.5))
     post = conjugate_posterior(model)
     u = np.linspace(0.01, 0.99, 25)
-    assert np.max(np.abs(post.cdf(post.quantile(u)) - u)) < 1e-12
+    assert np.max(np.abs(posterior_cdf(post, post.quantile(u)) - u)) < 1e-12
 
 
 def test_posterior_sampling_moments():
     model = NormalNormalModel(prior_mean=0.0, prior_var=5.0, noise_var=10.0, y=(3.0,) * 10)
     post = conjugate_posterior(model)
-    draws = post.sample(200_000, RngStream(17))
+    draws = posterior_sample(post, 200_000, RngStream(17))
     assert abs(np.mean(draws) - post.mean) < 5 * post.sd / np.sqrt(200_000)
     assert abs(np.std(draws) / post.sd - 1.0) < 0.01
 
@@ -156,7 +156,7 @@ def test_conditional_quantile_check_recovers_posterior():
     # quantile function (the distortion read in sampling form).
     model = NormalNormalModel(prior_mean=0.0, prior_var=4.0, noise_var=2.0, y=(1.0, 2.0, 0.5))
     post = conjugate_posterior(model)
-    samples = post.sample(100_000, RngStream(31))
+    samples = posterior_sample(post, 100_000, RngStream(31))
     gaps = conditional_quantile_check(post, model.prior_mean, model.prior_var, samples)
     assert np.max(np.abs(gaps)) < 0.05 * post.sd
 
@@ -165,8 +165,8 @@ def test_conditional_quantile_check_consistency_in_n():
     # The gap shrinks as the sample grows (Monte Carlo consistency).
     model = NormalNormalModel(prior_mean=0.0, prior_var=4.0, noise_var=2.0, y=(1.0,))
     post = conjugate_posterior(model)
-    small = post.sample(1_000, RngStream(41))
-    large = post.sample(100_000, RngStream(42))
+    small = posterior_sample(post, 1_000, RngStream(41))
+    large = posterior_sample(post, 100_000, RngStream(42))
     g_small = np.max(np.abs(conditional_quantile_check(post, 0.0, 4.0, small)))
     g_large = np.max(np.abs(conditional_quantile_check(post, 0.0, 4.0, large)))
     assert g_large < g_small

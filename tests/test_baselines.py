@@ -10,11 +10,9 @@ from gbc.analytic import NormalNormalModel, conjugate_posterior
 from gbc.baselines import (
     AbcConfig,
     abc_epsilon_sweep,
-    abc_rejection,
     fiducial_normal_meanvar,
     fiducial_rejection,
     golden_section,
-    reverify_abc,
     w1_distance,
     w1_bootstrap_se,
 )
@@ -23,12 +21,20 @@ from gbc.rng import RngStream
 from gbc.summaries import SummaryMap
 
 from fiducial_reference import per_draw_fiducial, scalar_golden_section
+from oracles import posterior_sample, reverify_abc
 
 
 def _mean_summary(n):
     return SummaryMap(
         kind="linear", matrix=np.full((1, n), 1.0 / n), intercept=np.zeros(1)
     )
+
+
+def _abc(simulator, prior, y_obs, cfg, budget, rng):
+    """The sweep's result at the one tolerance ``cfg.epsilon``."""
+    return abc_epsilon_sweep(
+        simulator, prior, y_obs, cfg, [cfg.epsilon], budget, rng
+    )[0]
 
 
 def _location_problem():
@@ -42,7 +48,7 @@ def _location_problem():
 def test_abc_infinite_epsilon_accepts_all_and_reproduces_prior_blocks():
     prior, sim, y_obs, _ = _location_problem()
     cfg = AbcConfig(epsilon=np.inf, summary=_mean_summary(10))
-    res = abc_rejection(sim, prior, y_obs, cfg, budget=5000, rng=RngStream(51))
+    res = _abc(sim, prior, y_obs, cfg, budget=5000, rng=RngStream(51))
     assert res.n_accepted == 5000
     assert res.acceptance_rate == 1.0
     assert np.array_equal(res.accepted_index, np.arange(5000))
@@ -78,7 +84,7 @@ def test_abc_zero_acceptance_is_diagnosed_not_raised():
     prior, sim, _, _ = _location_problem()
     y_far = np.full(10, 80.0)  # unreachable under the prior
     cfg = AbcConfig(epsilon=0.01, summary=_mean_summary(10))
-    res = abc_rejection(sim, prior, y_far, cfg, budget=2000, rng=RngStream(53))
+    res = _abc(sim, prior, y_far, cfg, budget=2000, rng=RngStream(53))
     assert res.n_accepted == 0
     assert res.thetas.shape == (0, 1)
     assert "0 of 2000" in res.diagnostic
@@ -88,7 +94,7 @@ def test_abc_zero_acceptance_is_diagnosed_not_raised():
 def test_abc_without_standardization_uses_unit_scale():
     prior, sim, y_obs, _ = _location_problem()
     cfg = AbcConfig(epsilon=0.5, summary=_mean_summary(10), standardize=False)
-    res = abc_rejection(sim, prior, y_obs, cfg, budget=3000, rng=RngStream(54))
+    res = _abc(sim, prior, y_obs, cfg, budget=3000, rng=RngStream(54))
     assert np.array_equal(res.summary_scale, np.ones(1))
     assert res.n_accepted > 0
 
@@ -98,13 +104,13 @@ def test_abc_config_validation():
         AbcConfig(epsilon=-0.1)
     prior, sim, y_obs, _ = _location_problem()
     with pytest.raises(ValueError):
-        abc_rejection(sim, prior, y_obs, AbcConfig(epsilon=1.0), 0, RngStream(0))
+        _abc(sim, prior, y_obs, AbcConfig(epsilon=1.0), 0, RngStream(0))
 
 
 def test_reverify_confirms_honest_results_and_catches_tampering():
     prior, sim, y_obs, _ = _location_problem()
     cfg = AbcConfig(epsilon=1.0, summary=_mean_summary(10))
-    res = abc_rejection(sim, prior, y_obs, cfg, budget=8000, rng=RngStream(55))
+    res = _abc(sim, prior, y_obs, cfg, budget=8000, rng=RngStream(55))
     assert res.n_accepted > 10
     assert reverify_abc(sim, prior, y_obs, cfg, res, RngStream(55))
     # tampered parameter values no longer match the regenerated blocks
@@ -119,9 +125,7 @@ def test_reverify_confirms_honest_results_and_catches_tampering():
 def test_reverify_empty_result_is_trivially_true():
     prior, sim, _, _ = _location_problem()
     cfg = AbcConfig(epsilon=0.001, summary=_mean_summary(10))
-    res = abc_rejection(
-        sim, prior, np.full(10, 80.0), cfg, budget=500, rng=RngStream(56)
-    )
+    res = _abc(sim, prior, np.full(10, 80.0), cfg, budget=500, rng=RngStream(56))
     assert res.n_accepted == 0
     assert reverify_abc(sim, prior, np.full(10, 80.0), cfg, res, RngStream(56))
 
@@ -216,7 +220,7 @@ def _scale_location_problem():
         # rejected, the rest accepted.
         (_meanvar_problem(), dict(epsilon=2e-9, budget=60, max_sweeps=5)),
         (_scale_location_problem(),
-         dict(epsilon=1.4, budget=20, max_sweeps=6, normalize_dim=True)),
+         dict(epsilon=7.0, budget=20, max_sweeps=6)),
     ],
     ids=["location", "meanvar", "meanvar-skips", "scale-location"],
 )
@@ -284,9 +288,9 @@ def test_fiducial_skips_unconverged_solves():
     assert res.thetas.shape == (0, 1)
 
 
-def test_fiducial_normalized_distance_is_per_coordinate_rms():
+def test_fiducial_distance_is_the_euclidean_norm():
     # G pins both outputs to theta; y = (0, 2) leaves a residual of
-    # sqrt(2) at the optimum theta = 1, which normalization turns into 1.
+    # sqrt(2) at the optimum theta = 1, not divided by the output count.
     common = dict(
         G=lambda u, theta: np.array([theta[0], theta[0]]),
         sample_u=lambda gen: 0.0,
@@ -294,14 +298,10 @@ def test_fiducial_normalized_distance_is_per_coordinate_rms():
         budget=3,
         theta_bounds=[(-5.0, 5.0)],
     )
-    strict = fiducial_rejection(
-        epsilon=1.2, rng=RngStream(59), normalize_dim=False, **common
-    )
+    strict = fiducial_rejection(epsilon=1.2, rng=RngStream(59), **common)
     assert strict.n_accepted == 0  # sqrt(2) > 1.2
-    relaxed = fiducial_rejection(
-        epsilon=1.2, rng=RngStream(59), normalize_dim=True, **common
-    )
-    assert relaxed.n_accepted == 3  # 1.0 <= 1.2
+    relaxed = fiducial_rejection(epsilon=1.5, rng=RngStream(59), **common)
+    assert relaxed.n_accepted == 3  # sqrt(2) <= 1.5
     assert np.allclose(relaxed.thetas, 1.0, atol=1e-6)
 
 
@@ -357,7 +357,7 @@ def test_w1_equals_shift_for_translated_laws():
 
 def test_w1_self_distance_is_small():
     post = conjugate_posterior(NormalNormalModel(0.0, 1.0, 1.0, (1.0,)))
-    draws = post.sample(100_000, RngStream(63))
+    draws = posterior_sample(post, 100_000, RngStream(63))
     assert w1_distance(draws, post.quantile) < 0.02 * post.sd
 
 
@@ -370,8 +370,8 @@ def test_w1_validation():
 
 def test_w1_bootstrap_se_scales_like_sampling_error():
     post = conjugate_posterior(NormalNormalModel(0.0, 1.0, 1.0, (1.0,)))
-    small = post.sample(500, RngStream(64))
-    big = post.sample(8000, RngStream(65))
+    small = posterior_sample(post, 500, RngStream(64))
+    big = posterior_sample(post, 8000, RngStream(65))
     se_small = w1_bootstrap_se(small, post.quantile, RngStream(66))
     se_big = w1_bootstrap_se(big, post.quantile, RngStream(67))
     assert 0.0 < se_big < se_small

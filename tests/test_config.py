@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 import gbc
-from gbc import pipeline
+from gbc import cli, pipeline
 from gbc.config import (
     RunConfig,
     network_spec_from_config,
     optimizer_spec_from_config,
     parse_prior,
     prior_from_config,
+    simulator_from_config,
 )
 from gbc.errors import ConfigError
 from gbc.models import NormalCoord, UniformCoord
@@ -251,3 +252,64 @@ def test_readme_documents_every_config_key():
         if not re.search(rf"`{key}[`\s=]", bullets.get(section, ""))
     ]
     assert not missing, f"README Configuration does not name: {missing}"
+
+
+# Each shipped config, the commands that accept it, and the values that cut
+# it down to a toy run. The keys stay; only their values shrink.
+SHIPPED_RUNS = {
+    "normal.ini": (
+        ["gen-table", "fit-summary", "train", "sample", "abc", "fiducial",
+         "benchmark-normal"],
+        {("run", "table_rows"): 200, ("optimizer", "epochs"): 2,
+         ("sampling", "n_draws"): 100, ("abc", "budget"): 2000,
+         ("fiducial", "budget"): 50},
+    ),
+    "epidemic.ini": (
+        ["gen-table", "train", "sample", "benchmark-epidemic"],
+        {("run", "table_rows"): 40, ("summary", "epochs"): 2,
+         ("optimizer", "epochs"): 2, ("benchmark", "scenarios"): 12,
+         ("benchmark", "replicates"): 10, ("benchmark", "holdouts"): 2,
+         ("benchmark", "posterior_draws"): 10,
+         ("benchmark", "predictive_replicates"): 5},
+    ),
+}
+
+
+@pytest.mark.parametrize("config", sorted(SHIPPED_RUNS))
+def test_every_shipped_config_key_is_read_by_a_command(
+    tmp_path, monkeypatch, config
+):
+    """Run each command that accepts a shipped config on a cut-down copy of
+    it, recording every (section, key) read through RunConfig: a shipped key
+    that no command reads configures nothing."""
+    path = Path(__file__).parents[1] / "configs" / config
+    shipped, cfg = RunConfig.from_file(path), RunConfig.from_file(path)
+    commands, cut_down = SHIPPED_RUNS[config]
+    for (section, key), value in cut_down.items():
+        assert shipped.has(section, key)
+        cfg.set(section, key, value)
+    cfg.set("run", "out_dir", tmp_path / "out")
+    cfg.write(tmp_path / config)
+    y_obs = tmp_path / "y.csv"
+    y_obs.write_text(",".join(["3.0"] * simulator_from_config(cfg).y_dim))
+
+    reads = set()
+    raw = RunConfig.raw
+
+    def recording_raw(self, section, key, default=None):
+        reads.add((section, key))
+        return raw(self, section, key, default)
+
+    monkeypatch.setattr(RunConfig, "raw", recording_raw)
+    for command in commands:
+        argv = [command, "--config", str(tmp_path / config)]
+        if command in ("sample", "abc", "fiducial"):
+            argv += ["--y-obs", str(y_obs)]
+        assert cli.main(argv) in (0, 4), command  # 4: toy-size thresholds
+    unread = [
+        f"[{section}] {key}"
+        for section, keys in shipped.sections.items()
+        for key in keys
+        if (section, key) not in reads
+    ]
+    assert not unread, f"{config} sets keys no command reads: {unread}"

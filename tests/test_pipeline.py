@@ -2,6 +2,7 @@
 its predictive check reduces replicate curves, and how the quantile chain is
 trained across worker processes."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from gbc import cli, models, pipeline
 from gbc.checkpoint import Checkpoint, save_checkpoint
 from gbc.config import RunConfig, network_spec_from_config, optimizer_spec_from_config
 from gbc.errors import ConfigError, TrainingDivergence
-from gbc.formats import fmt_value, read_csv
+from gbc.formats import fmt_value
 from gbc.quantile import train_iqn
 from gbc.rng import RngStream
 from gbc.summaries import fit_linear_summary
@@ -150,8 +151,9 @@ def test_benchmark_normal_abc_rows_match_gbc_abc(tmp_path):
     argv = ["abc", "--config", str(path), "--out", str(out),
             "--y-obs", str(tmp_path / "y.csv")]
     assert cli.main(argv) == 0
-    header, sweep = read_csv(out / "abc_sweep.csv", header=True)
-    assert header == ["epsilon", "n_proposals", "n_accepted", "acceptance_rate"]
+    header, *lines = (out / "abc_sweep.csv").read_text().splitlines()
+    assert header == "epsilon,n_proposals,n_accepted,acceptance_rate"
+    sweep = np.loadtxt(lines, delimiter=",", ndmin=2)
     assert list(sweep[:, 1]) == [100_000, 100_000]
     assert bench_counts == [int(n) for n in sweep[:, 2]]
 
@@ -172,12 +174,17 @@ def test_benchmark_normal_rejects_meanvar_fiducial_before_training(
 
 
 def test_benchmark_normal_reports_a_fiducial_run_with_no_acceptances(tmp_path):
-    # [fiducial] epsilon = 0 rejects every draw: a failed row, not an error.
+    # [fiducial] epsilon = 0 rejects every draw: a failed row and a named
+    # failure, not an error, and no Kolmogorov test of zero draws.
     path = tmp_path / "run.ini"
     path.write_text(TINY_NORMAL + "epsilon = 0\n")
-    result = pipeline.benchmark_normal(RunConfig.from_file(path), 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = pipeline.benchmark_normal(RunConfig.from_file(path), 7)
     assert result.rows[-1][:5] == ["fiducial", "nan", 0, 0.0, "nan"]
+    assert fmt_value(result.rows[-1][7]) == "nan"
     assert result.rows[-1][-1] == "no"
+    assert "fiducial: no acceptances" in result.failures
     assert not result.ok
 
 

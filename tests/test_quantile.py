@@ -15,13 +15,12 @@ from gbc.quantile import (
     CosineEmbedding,
     NetworkSpec,
     OptimizerSpec,
-    expected_utility,
-    pinball_loss,
     posterior_quantile_curve,
     train_iqn,
 )
 from gbc.rng import RngStream
 from gbc.summaries import SummaryMap
+from oracles import expected_utility, pinball_loss
 from quantile_helpers import (
     AnalyticQuantileStub,
     FunctionQuantileStub,
