@@ -7,7 +7,9 @@ Wasserstein-1 helper quantifies distance to an analytic law via quantile
 gaps.
 
 ABC proposals are generated in blocks, one child stream per block, so any
-accepted draw can be regenerated from its block's stream alone.
+accepted draw can be regenerated from its block's stream alone. The blocks
+run on ``min(blocks, CPUs)`` threads through ``models.map_blocks``; each
+writes only its own rows, so the pool does not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import cpu_count, map_blocks, simulate_block
 from .summaries import _safe_sd, apply_summary
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
@@ -42,8 +45,8 @@ class AbcConfig:
     standardize: bool = True
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon cannot be negative")
+        if not self.epsilon >= 0:
+            raise ValueError("epsilon must be a number >= 0")
 
 
 @dataclass
@@ -75,14 +78,15 @@ def _abc_pool(simulator, prior, y_obs, cfg, budget, rng, block_size):
     s_obs = _summarize(cfg, np.asarray(y_obs, dtype=np.float64))
     thetas = np.empty((budget, prior.dim))
     summaries = np.empty((budget, s_obs.shape[0]))
-    n_blocks = (budget + block_size - 1) // block_size
-    for b in range(n_blocks):
+
+    def run_block(b):
         start = b * block_size
         stop = min(budget, start + block_size)
-        gen = rng.child(b).generator
-        th = prior.sample(gen, stop - start)
-        thetas[start:stop] = th
-        summaries[start:stop] = _summarize(cfg, simulator.simulate_batch(th, gen))
+        thetas[start:stop], ys = simulate_block(prior, simulator, rng, b, start, stop)
+        summaries[start:stop] = _summarize(cfg, ys)
+
+    n_blocks = (budget + block_size - 1) // block_size
+    map_blocks(run_block, n_blocks, cpu_count())
     if cfg.standardize:
         scale = _safe_sd(summaries[: min(budget, block_size)])
     else:
@@ -103,8 +107,8 @@ def abc_epsilon_sweep(
     and carries a diagnostic string instead of raising.
     """
     epsilons = [float(e) for e in epsilons]
-    if any(e < 0 for e in epsilons):
-        raise ValueError("epsilon cannot be negative")
+    if not all(e >= 0 for e in epsilons):
+        raise ValueError("every epsilon must be a number >= 0")
     thetas, dists, scale = _abc_pool(
         simulator, prior, y_obs, cfg, budget, rng, block_size
     )

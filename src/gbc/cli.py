@@ -193,7 +193,7 @@ def cmd_abc(args, cfg, seed, out) -> int:
     prior = prior_from_config(cfg)
     simulator = simulator_from_config(cfg)
     y_obs = _read_y_obs(args, simulator.y_dim)
-    sweep = abc_stage(cfg, simulator, prior, y_obs, RngStream(seed).child("abc"))
+    sweep = abc_stage(cfg, simulator, prior)(y_obs, RngStream(seed).child("abc"))
     write_csv(
         out / "abc_sweep.csv",
         ["epsilon", "n_proposals", "n_accepted", "acceptance_rate"],

@@ -71,10 +71,6 @@ class RunConfig:
     def config_hash(self) -> bytes:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).digest()
 
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.canonical_text())
-
     # -- typed access ------------------------------------------------------
 
     def has(self, section, key) -> bool:

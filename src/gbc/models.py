@@ -4,14 +4,20 @@ A reference table is N rows of (theta, y) with theta drawn from the prior
 and y simulated at that theta — the training corpus for summaries and
 quantile networks. Tables are generated in row blocks, each block on its own
 child stream, so output is bit-identical no matter how many worker threads
-run (and regenerable from seed + config alone). Tables are written, read and
-checked for finiteness in blocks of ``formats.ROW_BLOCK`` rows, and CSV
-tables are parsed in blocks of ``formats.CSV_BLOCK_LINES`` lines, so no
-stage holds a second copy of a table.
+run (and regenerable from seed + config alone). :func:`map_blocks` is the one
+thread fan-out of the package: the reference table, the ABC proposal pool and
+the epidemic benchmark's scenario and predictive cells all run through it,
+each block on its own stream and writing only its own rows.
+
+Tables are written, read and checked for finiteness in blocks of
+``formats.ROW_BLOCK`` rows, and CSV tables are parsed in blocks of
+``formats.CSV_BLOCK_LINES`` lines, so no stage holds a second copy of a
+table.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
@@ -141,18 +147,25 @@ def _epidemic_weeks(thetas, pop, weeks, gen, contact):
     t1, t2, t3, t4, t5 = (thetas[:, k] for k in range(5))
     contact_eff = contact * (1.0 - 0.5 * t5 / 8e-5)
     intervene_week = np.ceil(t3)
+    # log(1 - t1_eff) before and after the intervention; each week picks one.
+    log_keep_before = np.log1p(-t1)
+    log_keep_after = np.log1p(-(t1 * (1.0 - t4)))
     # ceil keeps the curve's starting value at or above theta2 even when
     # theta2 is not a whole number.
     init = np.minimum(np.ceil(t2), pop).astype(np.int64)
     susceptible = pop - init
     active = init.copy()
     cum = init.copy()
+    p_inf = np.empty(thetas.shape[0])
     for week in range(1, weeks + 1):
-        t1_eff = np.where(week >= intervene_week, t1 * (1.0 - t4), t1)
-        # Escape probability per susceptible this week.
-        log_escape = contact_eff * active * np.log1p(-t1_eff)
-        p_inf = -np.expm1(log_escape)
-        p_inf = np.clip(p_inf, 0.0, 1.0)
+        log_keep = np.where(week >= intervene_week, log_keep_after, log_keep_before)
+        # Infection probability per susceptible this week, one minus the
+        # escape probability exp(contact_eff * active * log_keep).
+        np.multiply(contact_eff, active, out=p_inf)
+        np.multiply(p_inf, log_keep, out=p_inf)
+        np.expm1(p_inf, out=p_inf)
+        np.negative(p_inf, out=p_inf)
+        np.clip(p_inf, 0.0, 1.0, out=p_inf)
         new = gen.binomial(susceptible, p_inf)
         susceptible -= new
         cum += new
@@ -197,9 +210,6 @@ class EpidemicSimulator:
     @property
     def y_dim(self):
         return self.weeks
-
-    def simulate(self, theta, gen):
-        return self.simulate_batch(np.reshape(theta, (1, -1)), gen)[0]
 
     def simulate_batch(self, thetas, gen):
         thetas = np.asarray(thetas, dtype=np.float64)
@@ -285,6 +295,58 @@ class ReferenceTable:
         return self.ys.shape[1]
 
 
+def cpu_count():
+    """CPUs this process may run on: its affinity set where the platform has
+    one (Linux), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_blocks(fn, n, threads):
+    """``[fn(0), ..., fn(n - 1)]`` on up to ``min(n, threads)`` threads.
+
+    With one thread the calls run in order on the calling thread. Otherwise
+    a pool opened for this call runs them and is shut down before it
+    returns, so no pool thread is left alive when ``train_chain`` forks. A
+    failing block raises as from a serial loop: results are read in block
+    order, so the first failing block's exception is the one raised, and the
+    blocks not yet started are cancelled. Each ``fn(b)`` must write only its
+    own outputs. The threads overlap inside NumPy's random and array
+    kernels, which release the interpreter lock.
+    """
+    workers = min(n, threads)
+    if workers <= 1:
+        return [fn(b) for b in range(n)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, range(n)))
+
+
+def simulate_block(prior, simulator, rng, b, start, stop):
+    """Rows [start, stop) of a simulated table, as block ``b``: prior draws
+    on ``rng.child(b)`` and the simulator's rows at them, in that order on
+    that stream. Returns ``(thetas, ys)``; a simulator that fails or a
+    block of the wrong shape ends in DataError."""
+    gen = rng.child(b).generator
+    theta_block = prior.sample(gen, stop - start)
+    try:
+        y_block = simulator.simulate_batch(theta_block, gen)
+    except Exception as exc:
+        raise DataError(
+            f"simulator {simulator.name!r} failed in rows [{start}, {stop}): {exc}"
+        ) from exc
+    for name, block, width in (("prior", theta_block, prior.dim),
+                               (f"simulator {simulator.name!r}", y_block,
+                                simulator.y_dim)):
+        want = (stop - start, width)
+        if np.shape(block) != want:
+            raise DataError(
+                f"{name} returned shape {np.shape(block)} for rows "
+                f"[{start}, {stop}), expected {want}"
+            )
+    return theta_block, y_block
+
+
 def generate_reference_table(
     prior, simulator, n_rows, rng, block_size=4096, threads=1
 ) -> ReferenceTable:
@@ -303,31 +365,11 @@ def generate_reference_table(
     def run_block(b):
         start = b * block_size
         stop = min(n_rows, start + block_size)
-        gen = rng.child(b).generator
-        theta_block = prior.sample(gen, stop - start)
-        try:
-            y_block = simulator.simulate_batch(theta_block, gen)
-        except Exception as exc:
-            raise DataError(
-                f"simulator {simulator.name!r} failed in rows [{start}, {stop}): {exc}"
-            ) from exc
-        for name, block, out in (("prior", theta_block, thetas),
-                                  (f"simulator {simulator.name!r}", y_block, ys)):
-            want = (stop - start, out.shape[1])
-            if np.shape(block) != want:
-                raise DataError(
-                    f"{name} returned shape {np.shape(block)} for rows "
-                    f"[{start}, {stop}), expected {want}"
-                )
-            out[start:stop] = block
+        thetas[start:stop], ys[start:stop] = simulate_block(
+            prior, simulator, rng, b, start, stop
+        )
 
-    if threads > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, range(n_blocks)))
-    else:
-        for b in range(n_blocks):
-            run_block(b)
-
+    map_blocks(run_block, n_blocks, threads)
     return ReferenceTable(
         thetas=thetas,
         ys=ys,

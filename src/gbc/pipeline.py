@@ -9,7 +9,6 @@ the CLI turns into exit codes.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -45,7 +44,9 @@ from .models import (
     EPIDEMIC_QUANTILE_PROBS,
     NormalCoord,
     ReferenceTable,
+    cpu_count,
     generate_reference_table,
+    map_blocks,
     quantile_index_replicates,
 )
 from .quantile import checked_tau_grid, posterior_quantile_curve, train_iqn
@@ -147,7 +148,7 @@ def train_chain(cfg: RunConfig, table: ReferenceTable, summary: SummaryMap, seed
         network_spec_from_config(cfg), optimizer_spec_from_config(cfg), seed,
     )
     d = table.theta_dim
-    workers = min(d, _cpu_count())
+    workers = min(d, cpu_count())
     if workers <= 1:
         trained = [train(k) for k in range(d)]
     else:
@@ -165,14 +166,6 @@ def train_chain(cfg: RunConfig, table: ReferenceTable, summary: SummaryMap, seed
     return ckpt, np.column_stack([losses for _, losses in trained])
 
 
-def _cpu_count():
-    """CPUs this process may run on: its affinity set where the platform has
-    one (Linux), else ``os.cpu_count()``."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _train_coordinate(table, summary, net_spec, opt_spec, seed, k):
     """``train_iqn`` for coordinate k on its ``train-{k}`` stream; the unit
     of work of :func:`train_chain`, module-level so a worker can run it."""
@@ -181,9 +174,11 @@ def _train_coordinate(table, summary, net_spec, opt_spec, seed, k):
     )
 
 
-def abc_stage(cfg: RunConfig, simulator, prior, y_obs, rng):
-    """The ``[abc]`` epsilon sweep at ``y_obs``: one AbcResult per epsilon,
-    in config order, each a threshold of one shared proposal pool."""
+def abc_stage(cfg: RunConfig, simulator, prior):
+    """Check the ``[abc]`` settings and return the epsilon sweep they
+    describe: a function of ``(y_obs, rng)`` that returns one AbcResult per
+    epsilon, in config order, each a threshold of one shared proposal
+    pool."""
     kind = cfg.get_str("abc", "summary", "mean")
     if kind not in ("mean", "identity"):
         raise ConfigError(
@@ -192,17 +187,21 @@ def abc_stage(cfg: RunConfig, simulator, prior, y_obs, rng):
     epsilons = cfg.get_floats("abc", "epsilons", "2,1,0.5,0.25,0.1")
     budget = cfg.get_int("abc", "budget", 100_000, minimum=1)
     block_size = cfg.get_int("abc", "block_size", 4096, minimum=1)
-    if not epsilons or min(epsilons) < 0:
+    if not epsilons or not all(e >= 0 for e in epsilons):
         raise ConfigError("config key [abc] epsilons must be one or more numbers >= 0")
     abc_cfg = AbcConfig(
         epsilon=0.0,
         summary=mean_summary(simulator.y_dim) if kind == "mean" else None,
         standardize=cfg.get_bool("abc", "standardize", "true"),
     )
-    return abc_epsilon_sweep(
-        simulator, prior, y_obs, abc_cfg, epsilons, budget, rng,
-        block_size=block_size,
-    )
+
+    def sweep(y_obs, rng):
+        return abc_epsilon_sweep(
+            simulator, prior, y_obs, abc_cfg, epsilons, budget, rng,
+            block_size=block_size,
+        )
+
+    return sweep
 
 
 FIDUCIAL_HEADERS = {"location": ["theta_1"], "normal-meanvar": ["mu", "sigma_sq"]}
@@ -288,6 +287,7 @@ def benchmark_normal(cfg: RunConfig, seed, threads=1) -> NormalBenchmarkResult:
     except ValueError as exc:
         raise ConfigError(f"config key [sampling] tau_grid: {exc}") from None
     n_draws = cfg.get_int("sampling", "n_draws", 10_000, minimum=1)
+    abc_sweep = abc_stage(cfg, simulator, prior)
     failures = []
     rows = []
 
@@ -315,7 +315,7 @@ def benchmark_normal(cfg: RunConfig, seed, threads=1) -> NormalBenchmarkResult:
          "yes" if net_ok else "no"]
     )
 
-    sweep = abc_stage(cfg, simulator, prior, y_obs, root.child("abc"))
+    sweep = abc_sweep(y_obs, root.child("abc"))
     last_w1 = None
     boot = root.child("abc-boot")
     for res in sweep:
@@ -426,14 +426,17 @@ def benchmark_epidemic(cfg: RunConfig, seed) -> EpidemicBenchmarkResult:
     weeks = simulator.weeks
     root = RngStream(seed)
 
-    # Design and replicate curves.
+    # Design and replicate curves, one scenario per block.
     scenarios = lhs_sample(box, n_scen, root.child("design"))
     quantile_traj = np.empty((n_scen, probs.size, weeks))
-    for i in range(n_scen):
+
+    def run_scenario(i):
         gen = root.child(f"scenario-{i}").generator
         tiled = np.broadcast_to(scenarios[i], (n_reps, 5))
         curves = simulator.simulate_batch(tiled, gen)
         quantile_traj[i] = quantile_index_replicates(curves, probs)
+
+    map_blocks(run_scenario, n_scen, cpu_count())
 
     hold_gen = root.child("holdout").generator
     holdout_ids = sorted(
@@ -464,6 +467,32 @@ def benchmark_epidemic(cfg: RunConfig, seed) -> EpidemicBenchmarkResult:
     lo = np.array([r[0] for r in box] + [0.0])
     hi = np.array([r[1] for r in box] + [1.0])
 
+    # Posterior draws for every (holdout, level) cell, in order on this
+    # thread; then each cell's predictive bands, one cell per block.
+    cells = [(h, j) for h in holdout_ids for j in range(probs.size)]
+    draws = [
+        model.sample(quantile_traj[h, j], n_draws, root.child(f"sample-{h}-{j}"))
+        for h, j in cells
+    ]
+
+    def predictive_bands(c):
+        """(lower, median, upper) weekly bands of cell c's predictive curves."""
+        h, j = cells[c]
+        clipped = np.clip(draws[c], lo, hi)
+        # pred_reps replicate epidemics per draw, all in one simulator run;
+        # each week, pred[t] takes the level clipped[t, 5] of draw t's
+        # replicates.
+        tiled = np.repeat(clipped[:, :5], pred_reps, axis=0)
+        pred_gen = root.child(f"predict-{h}-{j}").generator
+        pred = np.empty((n_draws, weeks))
+        weekly = simulator.simulate_weeks(tiled, pred_gen)
+        for week, cum in enumerate(weekly):
+            reps = np.sort(cum.reshape(n_draws, pred_reps), axis=1)
+            pred[:, week] = _row_quantile(reps, clipped[:, 5])
+        return tuple(np.quantile(pred, q, axis=0) for q in (0.05, 0.5, 0.95))
+
+    bands = map_blocks(predictive_bands, len(cells), cpu_count())
+
     holdout_tables = {}
     coverage_rows = []
     covered_total = 0
@@ -471,43 +500,24 @@ def benchmark_epidemic(cfg: RunConfig, seed) -> EpidemicBenchmarkResult:
     out_of_box = 0
     out_by_coord = np.zeros(lo.size, dtype=np.int64)
     draws_total = 0
-    for h in holdout_ids:
-        columns = {"week": np.arange(1, weeks + 1)}
-        for j, a in enumerate(probs):
-            y_obs = quantile_traj[h, j]
-            draws = model.sample(
-                y_obs, n_draws, root.child(f"sample-{h}-{j}")
-            )
-            outside = (draws < lo) | (draws > hi)
-            out_of_box += int(np.sum(np.any(outside, axis=1)))
-            out_by_coord += outside.sum(axis=0)
-            draws_total += draws.shape[0]
-            clipped = np.clip(draws, lo, hi)
-            # pred_reps replicate epidemics per draw, all in one simulator
-            # run; each week, pred[t] takes the level clipped[t, 5] of draw
-            # t's replicates.
-            tiled = np.repeat(clipped[:, :5], pred_reps, axis=0)
-            pred_gen = root.child(f"predict-{h}-{j}").generator
-            pred = np.empty((n_draws, weeks))
-            weekly = simulator.simulate_weeks(tiled, pred_gen)
-            for week, cum in enumerate(weekly):
-                reps = np.sort(cum.reshape(n_draws, pred_reps), axis=1)
-                pred[:, week] = _row_quantile(reps, clipped[:, 5])
-            lower = np.quantile(pred, 0.05, axis=0)
-            median = np.quantile(pred, 0.5, axis=0)
-            upper = np.quantile(pred, 0.95, axis=0)
-            covered = (y_obs >= lower) & (y_obs <= upper)
-            covered_total += int(covered.sum())
-            cells_total += weeks
-            coverage_rows.append(
-                [h, float(a), int(covered.sum()), weeks, float(covered.mean())]
-            )
-            tag = f"q{a:g}"
-            columns[f"obs_{tag}"] = y_obs
-            columns[f"lo_{tag}"] = lower
-            columns[f"med_{tag}"] = median
-            columns[f"hi_{tag}"] = upper
-        holdout_tables[h] = columns
+    for (h, j), cell_draws, (lower, median, upper) in zip(cells, draws, bands):
+        a, y_obs = probs[j], quantile_traj[h, j]
+        outside = (cell_draws < lo) | (cell_draws > hi)
+        out_of_box += int(np.sum(np.any(outside, axis=1)))
+        out_by_coord += outside.sum(axis=0)
+        draws_total += cell_draws.shape[0]
+        covered = (y_obs >= lower) & (y_obs <= upper)
+        covered_total += int(covered.sum())
+        cells_total += weeks
+        coverage_rows.append(
+            [h, float(a), int(covered.sum()), weeks, float(covered.mean())]
+        )
+        columns = holdout_tables.setdefault(h, {"week": np.arange(1, weeks + 1)})
+        tag = f"q{a:g}"
+        columns[f"obs_{tag}"] = y_obs
+        columns[f"lo_{tag}"] = lower
+        columns[f"med_{tag}"] = median
+        columns[f"hi_{tag}"] = upper
 
     coverage = covered_total / cells_total
     box_rate = out_of_box / draws_total if draws_total else 0.0

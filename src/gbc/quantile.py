@@ -55,7 +55,7 @@ class CosineEmbedding:
 
     def basis(self, taus):
         taus = np.asarray(taus, dtype=np.float64)
-        if np.any(taus < 0.0) or np.any(taus > 1.0):
+        if not np.all((taus >= 0.0) & (taus <= 1.0)):
             raise ValueError("quantile levels must lie in [0, 1]")
         i = np.arange(self.n_cos)
         return np.cos(np.pi * np.outer(taus, i))  # (B, n_cos)
@@ -271,9 +271,9 @@ def checked_tau_grid(tau_grid) -> np.ndarray:
     tau_grid = np.asarray(tau_grid, dtype=np.float64)
     if tau_grid.ndim != 1 or tau_grid.size == 0:
         raise ValueError("tau grid must be a non-empty 1-D array")
-    if np.any(tau_grid <= 0.0) or np.any(tau_grid >= 1.0):
+    if not np.all((tau_grid > 0.0) & (tau_grid < 1.0)):
         raise ValueError("tau grid must lie strictly inside (0, 1)")
-    if tau_grid.size > 1 and np.any(np.diff(tau_grid) <= 0.0):
+    if not np.all(np.diff(tau_grid) > 0.0):
         raise ValueError("tau grid must be strictly increasing")
     return tau_grid
 

@@ -1,14 +1,18 @@
 """ABC rejection, fiducial rejection, Wasserstein helpers, line search."""
 
+import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from gbc import models
 from gbc.analytic import NormalNormalModel, conjugate_posterior
 from gbc.baselines import (
     AbcConfig,
+    AbcResult,
     abc_epsilon_sweep,
     fiducial_normal_meanvar,
     fiducial_rejection,
@@ -17,6 +21,7 @@ from gbc.baselines import (
     w1_bootstrap_se,
 )
 from gbc.models import NormalCoord, NormalLocationSimulator, PriorSpec
+from gbc.errors import DataError
 from gbc.rng import RngStream
 from gbc.summaries import SummaryMap
 
@@ -78,6 +83,84 @@ def test_abc_sweep_is_nested_and_tightens_toward_posterior():
     w = [w1_distance(r.thetas[:, 0], post.quantile) for r in sweep]
     assert w[0] > w[1] > w[2]
     assert w[2] < 0.2 * post.sd
+
+
+class _ThreadPoolSpy:
+    """Records the worker counts of the thread pools ``map_blocks`` opens."""
+
+    def __init__(self, monkeypatch):
+        self.workers = []
+        pool = models.ThreadPoolExecutor
+
+        def start(max_workers):
+            self.workers.append(max_workers)
+            return pool(max_workers)
+
+        monkeypatch.setattr(models, "ThreadPoolExecutor", start)
+
+
+@pytest.mark.parametrize("cpus, pools", [(1, []), (4, [4])])
+def test_abc_pool_is_the_same_at_any_thread_count(monkeypatch, cpus, pools):
+    prior, sim, y_obs, _ = _location_problem()
+    cfg = AbcConfig(epsilon=0.0, summary=_mean_summary(10))
+
+    def sweep():
+        return abc_epsilon_sweep(
+            sim, prior, y_obs, cfg, [2.0, 0.5, 0.0], 5000, RngStream(57),
+            block_size=512,
+        )
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = sweep()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    spy = _ThreadPoolSpy(monkeypatch)
+    pooled = sweep()
+    assert spy.workers == pools
+    assert serial[0].n_accepted > 0
+    for want, got in zip(serial, pooled, strict=True):
+        for field in dataclasses.fields(AbcResult):
+            a, b = getattr(want, field.name), getattr(got, field.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape, field.name
+                assert a.tobytes() == b.tobytes(), field.name
+            else:
+                assert a == b, field.name
+
+
+def test_abc_simulator_failure_in_a_later_block_raises_as_the_serial_loop(
+    monkeypatch,
+):
+    prior, sim, y_obs, _ = _location_problem()
+
+    class FailingSim(NormalLocationSimulator):
+        """Fails on every block whose first draw is positive."""
+
+        def simulate_batch(self, thetas, gen):
+            if thetas[0, 0] > 0.0:
+                raise ValueError(f"first draw {thetas[0, 0]!r}")
+            return super().simulate_batch(thetas, gen)
+
+    failing = FailingSim(noise_var=1.0, n_obs=10)
+    cfg = AbcConfig(epsilon=0.0, summary=_mean_summary(10))
+    errors = {}
+    for cpus in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        with pytest.raises(DataError) as err:
+            abc_epsilon_sweep(
+                failing, prior, y_obs, cfg, [1.0], 5000, RngStream(63),
+                block_size=256,
+            )
+        assert isinstance(err.value.__cause__, ValueError)
+        errors[cpus] = str(err.value)
+    assert errors[1] == errors[4]
+    # The first failing block is a later one, and not the only one.
+    first = [
+        prior.sample(RngStream(63).child(b).generator, 1)[0, 0] > 0.0
+        for b in range(20)
+    ]
+    assert not first[0] and sum(first) > 1
+    b = first.index(True)
+    assert f"rows [{256 * b}, {256 * (b + 1)})" in errors[1]
 
 
 def test_abc_zero_acceptance_is_diagnosed_not_raised():
@@ -278,7 +361,7 @@ def test_fiducial_skips_unconverged_solves():
         y_obs=0.0,
         epsilon=np.inf,
         budget=5,
-        rng=RngStream(58),
+        rng=RngStream(63),
         theta_bounds=[(-12.0, 12.0)],
         max_iter=1,  # bracket cannot shrink to tol in one step
     )

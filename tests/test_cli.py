@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gbc import cli
 from gbc.checkpoint import Checkpoint, save_checkpoint
-from gbc.models import read_table_csv
+from gbc.models import NormalLocationSimulator, read_table_csv
 from gbc.nets import FeedForwardNet
 from gbc.quantile import CosineEmbedding, ImplicitQuantileNet
 from gbc.rng import RngStream
@@ -373,6 +374,56 @@ def test_bad_benchmark_setting_is_config_error(smoke, command, edit, key):
     assert proc.returncode == 2, proc.stderr
     assert key in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("benchmark-normal", "sampling", "tau_grid", "0.1,nan,0.9"),
+        ("benchmark-normal", "abc", "epsilons", "1,nan"),
+        ("abc", "abc", "epsilons", "1,nan"),
+    ],
+    ids=["tau-grid", "benchmark-epsilons", "abc-epsilons"],
+)
+def test_nan_setting_is_config_error_before_any_simulation(
+    smoke, monkeypatch, capsys, command, section, key, value
+):
+    """A NaN passes a negative-form range check; each of these is rejected
+    before a table row or ABC proposal is simulated."""
+    cfg, tmp = smoke
+    cfg.write_text(cfg.read_text() + f"\n[{section}]\n{key} = {value}\n")
+    y_obs = tmp / "y.csv"
+    y_obs.write_text(",".join(["0.5"] * 6) + "\n")
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the settings were checked")
+
+    monkeypatch.setattr(NormalLocationSimulator, "simulate_batch", no_simulation)
+    argv = [command, "--config", str(cfg), "--out", str(tmp / "out")]
+    if command == "abc":
+        argv += ["--y-obs", str(y_obs)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"[{section}] {key}" in err
+
+
+def test_abc_simulator_failure_is_data_error(tmp_path, capsys):
+    """A prior that reaches outside the simulator's range fails in the ABC
+    proposal pool as it does in table generation: exit 3, no traceback."""
+    epidemic = Path(__file__).parents[1] / "configs" / "epidemic.ini"
+    text = epidemic.read_text()
+    assert "uniform(1,20)" in text
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        text.replace("uniform(1,20)", "uniform(0.5,20)") + "\n[abc]\nbudget = 500\n"
+    )
+    y_obs = tmp_path / "y.csv"
+    y_obs.write_text(",".join(["3"] * 56) + "\n")
+    argv = ["abc", "--config", str(cfg), "--out", str(tmp_path / "out"),
+            "--y-obs", str(y_obs)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "theta2 outside scenario range" in err
 
 
 @pytest.mark.parametrize("draws, why", [("-1", "0 or more"), ("ten", "an integer")])

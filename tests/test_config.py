@@ -62,10 +62,16 @@ def test_hash_changes_with_any_value():
     assert len(base) == 32
 
 
+def _write_config(cfg, path):
+    """Write ``cfg`` as its canonical text, which ``RunConfig.from_file``
+    reads back."""
+    Path(path).write_text(cfg.canonical_text(), encoding="utf-8", newline="\n")
+
+
 def test_file_round_trip(tmp_path):
     cfg = RunConfig.from_text(SAMPLE)
     path = tmp_path / "run.ini"
-    cfg.write(path)
+    _write_config(cfg, path)
     back = RunConfig.from_file(path)
     assert back.sections == cfg.sections
 
@@ -289,7 +295,7 @@ def test_every_shipped_config_key_is_read_by_a_command(
         assert shipped.has(section, key)
         cfg.set(section, key, value)
     cfg.set("run", "out_dir", tmp_path / "out")
-    cfg.write(tmp_path / config)
+    _write_config(cfg, tmp_path / config)
     y_obs = tmp_path / "y.csv"
     y_obs.write_text(",".join(["3.0"] * simulator_from_config(cfg).y_dim))
 

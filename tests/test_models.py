@@ -30,7 +30,7 @@ def _simulate_normal(theta, noise_var, n, rng):
 
 def _simulate_epidemic(theta, pop, weeks, rng):
     sim = EpidemicSimulator(population=pop, weeks=weeks)
-    return sim.simulate(theta, rng.generator)
+    return sim.simulate_batch(np.reshape(theta, (1, -1)), rng.generator)[0]
 
 
 @pytest.mark.parametrize(
@@ -89,6 +89,35 @@ def test_epidemic_curve_invariants():
         assert curve[0] >= theta[1]  # starts at/above initial infected
         assert curve[-1] <= 100_000  # bounded by population
         assert np.all(curve == np.floor(curve))  # integer counts
+
+
+def _reference_epidemic_batch(thetas, pop, weeks, gen, contact):
+    """The chain-binomial computed week by week from theta, with nothing
+    hoisted out of the loop."""
+    t1, t2, t3, t4, t5 = (thetas[:, k] for k in range(5))
+    contact_eff = contact * (1.0 - 0.5 * t5 / 8e-5)
+    susceptible = pop - np.minimum(np.ceil(t2), pop).astype(np.int64)
+    active = cum = np.minimum(np.ceil(t2), pop).astype(np.int64)
+    curves = np.empty((thetas.shape[0], weeks))
+    for week in range(1, weeks + 1):
+        t1_eff = np.where(week >= np.ceil(t3), t1 * (1.0 - t4), t1)
+        p_inf = np.clip(-np.expm1(contact_eff * active * np.log1p(-t1_eff)), 0.0, 1.0)
+        active = gen.binomial(susceptible, p_inf)
+        susceptible = susceptible - active
+        cum = cum + active
+        curves[:, week - 1] = cum
+    return curves
+
+
+def test_epidemic_batch_matches_the_week_by_week_reference():
+    gen = RngStream(14).generator
+    lows = np.array([r[0] for r in EPIDEMIC_RANGES])
+    highs = np.array([r[1] for r in EPIDEMIC_RANGES])
+    thetas = np.repeat(lows + (highs - lows) * gen.uniform(size=(40, 5)), 25, axis=0)
+    got = _epidemic_batch(thetas, 100_000, 56, RngStream(15).generator, 0.5)
+    want = _reference_epidemic_batch(thetas, 100_000, 56, RngStream(15).generator, 0.5)
+    assert got.tobytes() == want.tobytes()
+    assert want[:, -1].max() > 10 * want[:, 0].max()  # the epidemics grow
 
 
 def test_epidemic_strict_range_check():

@@ -1,14 +1,16 @@
 """Pipeline studies: what the epidemic benchmark reads from its config, how
-its predictive check reduces replicate curves, and how the quantile chain is
-trained across worker processes."""
+its predictive check reduces replicate curves and fans out over threads, and
+how the quantile chain is trained across worker processes."""
 
+import os
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gbc import cli, models, pipeline
+from gbc import cli, models, pipeline, quantile
 from gbc.checkpoint import Checkpoint, save_checkpoint
 from gbc.config import RunConfig, network_spec_from_config, optimizer_spec_from_config
 from gbc.errors import ConfigError, TrainingDivergence
@@ -67,7 +69,21 @@ NARROW_PRIOR = (
 )
 
 
-def test_epidemic_benchmark_stays_in_prior_box(monkeypatch):
+class _PoolSpy:
+    """Records the worker counts of the pools ``owner.name`` starts."""
+
+    def __init__(self, monkeypatch, owner=pipeline, name="ProcessPoolExecutor"):
+        self.workers = []
+        pool = getattr(owner, name)
+
+        def start(max_workers, **kwargs):
+            self.workers.append(max_workers)
+            return pool(max_workers, **kwargs)
+
+        monkeypatch.setattr(owner, name, start)
+
+
+def _tiny_epidemic_config():
     cfg = RunConfig.from_file(CONFIG_DIR / "epidemic.ini")
     cfg.set("prior", "theta", NARROW_PRIOR)
     for section, key, value in (
@@ -86,7 +102,11 @@ def test_epidemic_benchmark_stays_in_prior_box(monkeypatch):
         ("benchmark", "predictive_replicates", 3),
     ):
         cfg.set(section, key, value)
+    return cfg
 
+
+def test_epidemic_benchmark_stays_in_prior_box(monkeypatch):
+    cfg = _tiny_epidemic_config()
     design, predictive = [], []
     simulate_batch = models.EpidemicSimulator.simulate_batch
     simulate_weeks = models.EpidemicSimulator.simulate_weeks
@@ -109,6 +129,44 @@ def test_epidemic_benchmark_stays_in_prior_box(monkeypatch):
     for recorded in (design, predictive):
         thetas = np.vstack(recorded)
         assert np.all(thetas >= box[:, 0]) and np.all(thetas <= box[:, 1])
+
+
+def test_epidemic_benchmark_is_the_same_at_any_cpu_count(monkeypatch):
+    """Scenario and predictive cells fan out over min(cells, CPUs) threads;
+    every posterior draw is made on the calling thread, in (h, j) order."""
+    cfg = _tiny_epidemic_config()
+    cfg.set("benchmark", "holdouts", 2)
+    sample = quantile.AutoregressiveQuantileModel.sample
+    calls = []
+
+    def record_sample(self, y_obs, n, rng):
+        calls.append((threading.get_ident(), rng.stream_id))
+        return sample(self, y_obs, n, rng)
+
+    monkeypatch.setattr(quantile.AutoregressiveQuantileModel, "sample", record_sample)
+    results = {}
+    for cpus, pools in ((1, []), (4, [4, 4])):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        calls.clear()
+        spy = _PoolSpy(monkeypatch, models, "ThreadPoolExecutor")
+        results[cpus] = pipeline.benchmark_epidemic(cfg, 3)
+        assert spy.workers == pools  # 6 scenarios, then 10 predictive cells
+        root = RngStream(3)
+        assert calls == [
+            (threading.get_ident(), root.child(f"sample-{h}-{j}").stream_id)
+            for h in results[cpus].holdout_ids
+            for j in range(len(models.EPIDEMIC_QUANTILE_PROBS))
+        ]
+    one, four = results[1], results[4]
+    assert one.holdout_ids == four.holdout_ids and len(one.holdout_ids) == 2
+    assert one.coverage_rows == four.coverage_rows
+    assert one.box_violation_rate == four.box_violation_rate
+    assert one.box_violation_by_coord.tobytes() == four.box_violation_by_coord.tobytes()
+    for h in one.holdout_ids:
+        want, got = one.holdout_tables[h], four.holdout_tables[h]
+        assert list(want) == list(got)
+        for key in want:
+            assert np.asarray(want[key]).tobytes() == np.asarray(got[key]).tobytes()
 
 
 def test_epidemic_benchmark_rejects_prior_outside_simulator_range():
@@ -219,20 +277,6 @@ def _checkpoint_bytes(ckpt, path):
     return path.read_bytes()
 
 
-class _PoolSpy:
-    """Records the worker counts of the pools train_chain starts."""
-
-    def __init__(self, monkeypatch):
-        self.workers = []
-        pool = pipeline.ProcessPoolExecutor
-
-        def start(max_workers, **kwargs):
-            self.workers.append(max_workers)
-            return pool(max_workers, **kwargs)
-
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", start)
-
-
 @pytest.mark.parametrize("cpus, pools", [(1, []), (4, [3])])
 def test_train_chain_matches_a_serial_loop_at_any_worker_count(
     monkeypatch, tmp_path, cpus, pools
@@ -249,7 +293,7 @@ def test_train_chain_matches_a_serial_loop_at_any_worker_count(
                       table_seed=table.seed, config_hash=cfg.config_hash())
     want_trace = np.column_stack([losses for _, losses in serial])
 
-    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     spy = _PoolSpy(monkeypatch)
     ckpt, trace = pipeline.train_chain(cfg, table, summary, 8)
     assert spy.workers == pools
@@ -273,7 +317,7 @@ def test_train_chain_reraises_a_worker_divergence(monkeypatch):
         with pytest.raises(TrainingDivergence) as serial:
             train_iqn(table, summary, 2, net_spec, opt_spec,
                       RngStream(8).child("train-2"))
-        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         spy = _PoolSpy(monkeypatch)
         with pytest.raises(TrainingDivergence) as pooled:
             pipeline.train_chain(cfg, table, summary, 8)
@@ -285,11 +329,11 @@ def test_train_chain_reraises_a_worker_divergence(monkeypatch):
 
 
 def test_cpu_count_falls_back_without_an_affinity_call(monkeypatch):
-    monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 3)
-    assert pipeline._cpu_count() == 3
-    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: None)
-    assert pipeline._cpu_count() == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert models.cpu_count() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert models.cpu_count() == 1
 
 
 def test_one_parameter_chain_starts_no_worker(monkeypatch):
@@ -298,7 +342,7 @@ def test_one_parameter_chain_starts_no_worker(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-net chain started a worker pool")
 
-    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
     ckpt, trace = pipeline.train_chain(cfg, table, summary, 8)
     assert len(ckpt.nets) == 1 and trace.shape == (3, 1)

@@ -63,6 +63,13 @@ def test_embedding_tau_one_alternates_signs():
     assert np.allclose(got, want, atol=1e-12)
 
 
+@pytest.mark.parametrize("taus", [[-0.1], [0.5, 1.5], [0.2, np.nan]])
+def test_embedding_rejects_levels_outside_the_unit_interval(taus):
+    emb = CosineEmbedding.create(4, 3, RngStream(5))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        emb.basis(taus)
+
+
 def test_embedding_single_frequency_is_constant_in_tau():
     # n_cos = 1 keeps only cos(0 * pi * tau) = 1: no tau dependence at all.
     emb = CosineEmbedding.create(1, 4, RngStream(4))
