@@ -122,9 +122,11 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         w.pack("I", len(ckpt.nets))
         for net in ckpt.nets:
             _write_net(w, net.psi)
-            w.pack("II", net.phi.n_cos, net.phi.out_dim)
-            w.array(net.phi.weight)
-            w.array(net.phi.bias)
+            # phi's block: n_cos, m, weights, biases (its activation is fixed).
+            (phi,) = net.phi.layers
+            w.pack("II", *phi.weight.shape)
+            w.array(phi.weight)
+            w.array(phi.bias)
             _write_net(w, net.g)
             w.pack("I", net.cond_mean.shape[0])
             w.array(net.cond_mean)
@@ -142,7 +144,7 @@ def load_checkpoint(path) -> Checkpoint:
         for k in range(n_nets):
             psi = _read_net(r)
             n_cos, m = r.unpack("II")
-            phi = CosineEmbedding(r.array(n_cos, m), r.array(m))
+            phi = CosineEmbedding([Layer(r.array(n_cos, m), r.array(m), RELU)])
             g = _read_net(r)
             (cond_dim,) = r.unpack("I")
             cond_mean, cond_sd = r.array(cond_dim), r.array(cond_dim)

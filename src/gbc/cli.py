@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import RunConfig, prior_from_config, simulator_from_config
+from .config import RunConfig, prior_and_simulator
 from .errors import ConfigError, DataError, GbcError
 from .formats import fmt_value, read_csv, write_csv
 from .models import (
@@ -123,7 +123,7 @@ def _summary_mse_label(summary) -> str:
 
 
 def cmd_gen_table(args, cfg, seed, out) -> int:
-    table = build_table(cfg, seed, threads=args.threads or 1)
+    table = build_table(cfg, seed)
     path = _table_path(args, cfg, out)
     if path.suffix == ".csv":
         write_table_csv(path, table)
@@ -190,8 +190,7 @@ def cmd_sample(args, cfg, seed, out) -> int:
 
 
 def cmd_abc(args, cfg, seed, out) -> int:
-    prior = prior_from_config(cfg)
-    simulator = simulator_from_config(cfg)
+    prior, simulator = prior_and_simulator(cfg)
     y_obs = _read_y_obs(args, simulator.y_dim)
     sweep = abc_stage(cfg, simulator, prior)(y_obs, RngStream(seed).child("abc"))
     write_csv(
@@ -224,8 +223,10 @@ def cmd_fiducial(args, cfg, seed, out) -> int:
         f"({result.n_skipped} skipped); wrote {out / 'fiducial_draws.csv'}"
     )
     return 0
+
+
 def cmd_benchmark_normal(args, cfg, seed, out) -> int:
-    result = benchmark_normal(cfg, seed, threads=args.threads or 1)
+    result = benchmark_normal(cfg, seed)
     write_csv(out / "benchmark_normal.csv", NORMAL_REPORT_HEADER, result.rows)
     write_csv(
         out / "posterior.csv",
@@ -289,15 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="override the output directory")
 
-    def threads_option(p):
-        p.add_argument(
-            "--threads", type=int,
-            help="worker threads for table generation (default 1)",
-        )
-
     p = sub.add_parser("gen-table", help="simulate a reference table")
     common(p)
-    threads_option(p)
     p.add_argument("--table", help="output table path (overrides config)")
     p.set_defaults(fn=cmd_gen_table)
 
@@ -333,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare net, ABC, and fiducial against the conjugate closed form",
     )
     common(p)
-    threads_option(p)
     p.set_defaults(fn=cmd_benchmark_normal)
 
     p = sub.add_parser(

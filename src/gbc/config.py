@@ -194,6 +194,19 @@ def simulator_from_config(cfg: RunConfig):
     return make_simulator(cfg.get_str("run", "simulator"), simulator_params(cfg))
 
 
+def prior_and_simulator(cfg: RunConfig):
+    """``(prior, simulator)`` of the config; ConfigError unless the prior
+    has as many coordinates as the simulator takes."""
+    prior = prior_from_config(cfg)
+    simulator = simulator_from_config(cfg)
+    if prior.dim != simulator.theta_dim:
+        raise ConfigError(
+            f"prior has {prior.dim} coordinates but simulator "
+            f"{simulator.name!r} expects {simulator.theta_dim}"
+        )
+    return prior, simulator
+
+
 def network_spec_from_config(cfg: RunConfig) -> NetworkSpec:
     return NetworkSpec(
         psi_hidden=cfg.get_ints("network", "psi_hidden", "64,64", minimum=1),

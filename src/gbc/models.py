@@ -33,6 +33,7 @@ from .formats import (
     read_csv_rows,
     write_csv,
 )
+from .quantile import checked_tau_grid
 from .rng import RngStream
 
 # Parameter box for the epidemic scenario coordinates theta1..theta5:
@@ -382,17 +383,14 @@ def quantile_index_replicates(curves, probs=EPIDEMIC_QUANTILE_PROBS):
     """Reduce replicate curves to pointwise empirical quantile trajectories:
     one row per prob (linear-interpolation order statistics, applied per
     week). Quantile trajectories are non-decreasing in the prob at every
-    week.
+    week. ``probs`` are checked as ``checked_tau_grid`` checks a grid.
     """
     curves = np.asarray(curves, dtype=np.float64)
     if curves.ndim != 2 or curves.shape[0] == 0:
         raise ValueError("need a non-empty (replicates x weeks) array")
     if curves.shape[0] < 2:
         raise ValueError("need at least two replicates")
-    probs = np.asarray(probs, dtype=np.float64)
-    if np.any(probs <= 0.0) or np.any(probs >= 1.0) or np.any(np.diff(probs) <= 0):
-        raise ValueError("probs must be strictly increasing within (0, 1)")
-    return np.quantile(curves, probs, axis=0, method="linear")
+    return np.quantile(curves, checked_tau_grid(probs), axis=0, method="linear")
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ All arrays are float64 numpy. Networks are small (a few layers of width
 which keeps checkpoints bit-exact across reruns.
 
 Training runs on one flat parameter buffer. :func:`flatten_parameters`
-copies every ``weight`` and ``bias`` of the trained holders (layers and
-embeddings) into one contiguous float64 vector and rebinds them as reshaped
-views of it, so the nets keep their usual shape-wise arrays while each
-minibatch step costs one optimizer update, one finiteness check and, in the
-averaged tail, one Polyak add on the whole vector. The gradients of a step
-are copied into one matching flat vector.
+copies every ``weight`` and ``bias`` of the trained layers into one
+contiguous float64 vector and rebinds them as reshaped views of it, so the
+nets keep their usual shape-wise arrays while each minibatch step costs one
+optimizer update, one finiteness check and, in the averaged tail, one Polyak
+add on the whole vector. The gradients of a step are copied into one
+matching flat vector. ``FeedForwardNet`` is the one dense layer stack with a
+backward pass; the quantile nets' cosine embedding is a one-layer subclass.
 
 Shape conventions: a layer maps ``(B, d_in) -> (B, d_out)`` via
 ``x @ weight + bias``; 1-D inputs are treated as a single row and squeezed
@@ -362,45 +363,45 @@ class OptimizerSpec:
         return self.lr
 
 
-def flatten_parameters(holders) -> np.ndarray:
-    """Copy the ``weight`` and ``bias`` of each holder, in order, into one
+def flatten_parameters(layers) -> np.ndarray:
+    """Copy the ``weight`` and ``bias`` of each layer, in order, into one
     contiguous float64 vector and rebind them as reshaped views of it.
 
-    Returns the vector; writing to it updates every holder in place. The
-    order matches :meth:`FeedForwardNet.parameters` when ``holders`` are a
+    Returns the vector; writing to it updates every layer in place. The
+    order matches :meth:`FeedForwardNet.parameters` when ``layers`` are a
     net's layers.
     """
-    flat = np.concatenate([a.ravel() for h in holders for a in (h.weight, h.bias)])
+    flat = np.concatenate([a.ravel() for lay in layers for a in (lay.weight, lay.bias)])
     offset = 0
-    for h in holders:
+    for lay in layers:
         for name in ("weight", "bias"):
-            a = getattr(h, name)
-            setattr(h, name, flat[offset : offset + a.size].reshape(a.shape))
+            a = getattr(lay, name)
+            setattr(lay, name, flat[offset : offset + a.size].reshape(a.shape))
             offset += a.size
     return flat
 
 
 def train_minibatch(
-    holders, spec: OptimizerSpec, n, gen, batch_step, what, draw_epoch=None
+    layers, spec: OptimizerSpec, n, gen, batch_step, what, draw_epoch=None
 ):
-    """Minibatch training of ``holders`` in place; returns per-epoch mean loss.
+    """Minibatch training of ``layers`` in place; returns per-epoch mean loss.
 
-    ``holders`` are the objects whose ``weight`` and ``bias`` are trained
-    (layers, embeddings); they become views into one flat parameter vector
-    (:func:`flatten_parameters`) and stay so after training. Each epoch sets
-    the learning rate from ``spec``, calls ``draw_epoch(gen)`` when given
-    (per-row draws shared by the epoch's batches), shuffles the ``n`` rows
-    with ``gen`` and takes one optimizer step per batch.
+    The ``weight`` and ``bias`` of every layer become views into one flat
+    parameter vector (:func:`flatten_parameters`) and stay so after
+    training. Each epoch sets the learning rate from ``spec``, calls
+    ``draw_epoch(gen)`` when given (per-row draws shared by the epoch's
+    batches), shuffles the ``n`` rows with ``gen`` and takes one optimizer
+    step per batch.
     ``batch_step(idx, drawn)`` returns ``(loss summed over the batch rows,
-    gradients [dW, db, ...] in holder order)``. The epoch loss is that sum
+    gradients [dW, db, ...] in layer order)``. The epoch loss is that sum
     over all rows divided by ``n``. Over the final ``spec.average_tail``
     fraction of epochs the end-of-epoch parameters are averaged (Polyak),
     and the parameters end at that average. A non-finite gradient or epoch
     loss raises :class:`TrainingDivergence` carrying the epoch; ``what``
     names the training in its message.
     """
-    flat = flatten_parameters(holders)
-    shapes = [a.shape for h in holders for a in (h.weight, h.bias)]
+    flat = flatten_parameters(layers)
+    shapes = [a.shape for lay in layers for a in (lay.weight, lay.bias)]
     flat_grad = np.empty_like(flat)
     optimizer = spec.build(flat.size)
     losses = np.empty(spec.epochs)

@@ -32,8 +32,7 @@ from .config import (
     checked_optimizer_spec,
     network_spec_from_config,
     optimizer_spec_from_config,
-    prior_from_config,
-    simulator_from_config,
+    prior_and_simulator,
 )
 from .design import lhs_sample
 from .errors import ConfigError, DataError
@@ -78,15 +77,11 @@ def run_seed(cfg: RunConfig, override=None) -> int:
     return cfg.get_int("run", "seed", 0)
 
 
-def build_table(cfg: RunConfig, seed, threads=1) -> ReferenceTable:
-    """Generate the reference table the config describes."""
-    prior = prior_from_config(cfg)
-    simulator = simulator_from_config(cfg)
-    if prior.dim != simulator.theta_dim:
-        raise ConfigError(
-            f"prior has {prior.dim} coordinates but simulator "
-            f"{simulator.name!r} expects {simulator.theta_dim}"
-        )
+def build_table(cfg: RunConfig, seed, threads=None) -> ReferenceTable:
+    """Generate the reference table the config describes, on ``threads``
+    threads (default: every CPU this process may run on). The table's
+    bytes do not depend on the count."""
+    prior, simulator = prior_and_simulator(cfg)
     root = RngStream(seed)
     return generate_reference_table(
         prior,
@@ -94,7 +89,7 @@ def build_table(cfg: RunConfig, seed, threads=1) -> ReferenceTable:
         cfg.get_int("run", "table_rows", minimum=1),
         root.child("table"),
         block_size=cfg.get_int("run", "block_size", 4096, minimum=1),
-        threads=max(1, int(threads)),
+        threads=cpu_count() if threads is None else threads,
     )
 
 
@@ -250,7 +245,7 @@ class NormalBenchmarkResult:
         return not self.failures
 
 
-def benchmark_normal(cfg: RunConfig, seed, threads=1) -> NormalBenchmarkResult:
+def benchmark_normal(cfg: RunConfig, seed) -> NormalBenchmarkResult:
     """Method-by-method comparison on the conjugate normal location model.
 
     Builds y_obs at the configured true theta, trains the quantile chain on
@@ -258,10 +253,9 @@ def benchmark_normal(cfg: RunConfig, seed, threads=1) -> NormalBenchmarkResult:
     ``[fiducial]`` location sampler, and scores everything against the
     exact posterior.
     """
-    prior = prior_from_config(cfg)
+    prior, simulator = prior_and_simulator(cfg)
     if prior.dim != 1 or not isinstance(prior.coords[0], NormalCoord):
         raise ConfigError("the normal benchmark needs a 1-D normal prior")
-    simulator = simulator_from_config(cfg)
     if simulator.name != "normal-location":
         raise ConfigError("the normal benchmark needs the normal-location simulator")
     if fiducial_model(cfg) != "location":
@@ -295,7 +289,7 @@ def benchmark_normal(cfg: RunConfig, seed, threads=1) -> NormalBenchmarkResult:
     rows.append(["analytic", "nan", 0, 1.0, 0.0, 0.0, 0.0, "nan", "yes"])
 
     # Quantile-network pipeline.
-    table = build_table(cfg, seed, threads=threads)
+    table = build_table(cfg, seed)
     summary, _, _ = fit_summary(cfg, table, seed)
     ckpt, _ = train_chain(cfg, table, summary, seed)
     qmodel = ckpt.model()
@@ -403,9 +397,9 @@ def benchmark_epidemic(cfg: RunConfig, seed) -> EpidemicBenchmarkResult:
     """Desk-scale epidemic study: train on quantile trajectories from an LHS
     design over the [prior] box, then check posterior-predictive band
     coverage on holdouts."""
-    simulator = simulator_from_config(cfg)
-    box = prior_from_config(cfg).box()
-    if simulator.name != "epidemic" or len(box) != 5 or None in box:
+    prior, simulator = prior_and_simulator(cfg)
+    box = prior.box()
+    if simulator.name != "epidemic" or None in box:
         raise ConfigError(
             "the epidemic benchmark needs the epidemic simulator and a "
             "5-coordinate uniform [prior] theta"
@@ -446,15 +440,12 @@ def benchmark_epidemic(cfg: RunConfig, seed) -> EpidemicBenchmarkResult:
 
     # Training table: one row per (scenario, quantile level); theta is the
     # 5 scenario parameters plus the level itself, y the quantile trajectory.
-    thetas = []
-    ys = []
-    for i in train_ids:
-        for j, a in enumerate(probs):
-            thetas.append(np.concatenate([scenarios[i], [a]]))
-            ys.append(quantile_traj[i, j])
     table = ReferenceTable(
-        thetas=np.array(thetas),
-        ys=np.array(ys),
+        thetas=np.column_stack([
+            np.repeat(scenarios[train_ids], probs.size, axis=0),
+            np.tile(probs, len(train_ids)),
+        ]),
+        ys=quantile_traj[train_ids].reshape(-1, weeks),
         seed=int(seed),
         simulator="epidemic-quantiles",
     )

@@ -6,7 +6,9 @@ trained with the pinball loss at uniformly random quantile levels. A vector
 parameter gets one such net per coordinate, the k-th conditioning on the
 data summary and the previously drawn coordinates, so posterior sampling is
 a single forward sweep per draw: theta_k = f_k(tau_k, s, theta_<k) with
-fresh uniform tau_k.
+fresh uniform tau_k. psi, phi and g are all ``FeedForwardNet``s, so they
+share one forward and backward pass; phi is one ReLU layer on the cosine
+basis of tau.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import FeedForwardNet, OptimizerSpec, train_minibatch
+from .nets import RELU, FeedForwardNet, OptimizerSpec, train_minibatch
 from .summaries import SummaryMap, _safe_sd, apply_summary
 
 # Quantile evaluation runs the net on row blocks of this many rows, so each
@@ -26,57 +28,23 @@ from .summaries import SummaryMap, _safe_sd, apply_summary
 SAMPLE_BLOCK_ROWS = 1024
 
 
-@dataclass
-class CosineEmbedding:
-    """tau -> ReLU(cos(pi * i * tau) W + b), i = 0..n_cos-1, output dim m."""
-
-    weight: np.ndarray  # (n_cos, m)
-    bias: np.ndarray  # (m,)
-
-    def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[1],):
-            raise ValueError("inconsistent embedding shapes")
-
-    @property
-    def n_cos(self):
-        return self.weight.shape[0]
-
-    @property
-    def out_dim(self):
-        return self.weight.shape[1]
+class CosineEmbedding(FeedForwardNet):
+    """tau -> ReLU(cos(pi * i * tau) W + b), i = 0..n_cos-1, output dim m:
+    one ReLU layer applied to the cosine basis of the levels."""
 
     @classmethod
     def create(cls, n_cos, m, rng):
-        gen = rng.generator
-        w = gen.normal(0.0, np.sqrt(2.0 / n_cos), size=(n_cos, m))
-        return cls(w, np.zeros(m))
+        return super().create([n_cos, m], rng, final_activation=RELU)
 
     def basis(self, taus):
         taus = np.asarray(taus, dtype=np.float64)
         if not np.all((taus >= 0.0) & (taus <= 1.0)):
             raise ValueError("quantile levels must lie in [0, 1]")
-        i = np.arange(self.n_cos)
+        i = np.arange(self.input_dim)
         return np.cos(np.pi * np.outer(taus, i))  # (B, n_cos)
 
-    def forward(self, taus):
-        out, _ = self.forward_cached(taus)
-        return out
-
     def forward_cached(self, taus):
-        c = self.basis(taus)
-        z = c @ self.weight + self.bias
-        return np.maximum(z, 0.0), (c, z)
-
-    def backward(self, cache, out_grad):
-        """Gradients of sum(out_grad * forward(taus)) w.r.t. weight and bias."""
-        c, z = cache
-        g = out_grad * (z > 0.0)
-        return [c.T @ g, g.sum(axis=0)]
-
-    def parameters(self):
-        return [self.weight, self.bias]
+        return super().forward_cached(self.basis(taus))
 
 
 @dataclass
@@ -154,10 +122,7 @@ def train_iqn(
         raise ValueError("cannot train on an empty table")
     if not 0 <= coordinate < table.theta_dim:
         raise ValueError(f"coordinate {coordinate} outside 0..{table.theta_dim - 1}")
-    s = apply_summary(summary, table.ys)
-    if s.ndim == 1:
-        s = s[:, None]
-    cond = np.hstack([s, table.thetas[:, :coordinate]])
+    cond = np.hstack([apply_summary(summary, table.ys), table.thetas[:, :coordinate]])
     target = table.thetas[:, coordinate]
 
     cond_mean = cond.mean(axis=0)
@@ -192,13 +157,13 @@ def train_iqn(
         dout = (((u < 0.0) - taub) / len(idx))[:, None]
         grads_g, dh = g.backward(cache_g, dout)
         grads_psi, _ = psi.backward(cache_psi, dh * b, input_grad=False)
-        grads_phi = phi.backward(cache_phi, dh * a)
+        grads_phi, _ = phi.backward(cache_phi, dh * a, input_grad=False)
         return loss, grads_psi + grads_phi + grads_g
 
     n = x.shape[0]
     # Each epoch draws a fresh quantile level per row before shuffling.
     losses = train_minibatch(
-        [*psi.layers, phi, *g.layers], opt, n,
+        [*psi.layers, *phi.layers, *g.layers], opt, n,
         rng.child("train-shuffle").generator, batch_step, "quantile",
         draw_epoch=lambda gen: gen.uniform(size=n),
     )
@@ -222,8 +187,7 @@ class AutoregressiveQuantileModel:
         return len(self.nets)
 
     def _summary_of(self, y_obs):
-        s = apply_summary(self.summary, np.asarray(y_obs, dtype=np.float64))
-        return s if s.ndim else s[None]
+        return apply_summary(self.summary, np.asarray(y_obs, dtype=np.float64))
 
     def sample(self, y_obs, n_draws, rng) -> np.ndarray:
         """n_draws x d posterior draws at the observed data."""

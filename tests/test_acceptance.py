@@ -38,7 +38,7 @@ def _report(num, name, ok, detail):
 def normal_benchmark():
     cfg = RunConfig.from_file(CONFIG_DIR / "normal.ini")
     start = time.perf_counter()
-    result = benchmark_normal(cfg, run_seed(cfg), threads=1)
+    result = benchmark_normal(cfg, run_seed(cfg))
     elapsed = time.perf_counter() - start
     return cfg, result, elapsed
 

@@ -1,5 +1,7 @@
 """Model checkpoint serialization: bit-exact round trips, corruption errors."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -58,16 +60,56 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(back.summary.intercept, ckpt.summary.intercept)
     assert len(back.nets) == 2
     for a, b in zip(ckpt.nets, back.nets):
-        for la, lb in zip(a.psi.layers + a.g.layers, b.psi.layers + b.g.layers):
+        assert type(b.phi) is CosineEmbedding
+        for la, lb in zip(a.psi.layers + a.phi.layers + a.g.layers,
+                          b.psi.layers + b.phi.layers + b.g.layers):
             assert np.array_equal(la.weight, lb.weight)
             assert np.array_equal(la.bias, lb.bias)
             assert la.activation == lb.activation
-        assert np.array_equal(a.phi.weight, b.phi.weight)
-        assert np.array_equal(a.phi.bias, b.phi.bias)
         assert np.array_equal(a.cond_mean, b.cond_mean)
         assert np.array_equal(a.cond_sd, b.cond_sd)
         assert a.target_mean == b.target_mean
         assert a.target_sd == b.target_sd
+
+
+def _read_net_bytes(blob, at):
+    """Skip one serialized FeedForwardNet; return the offset after it."""
+    (n_layers,) = struct.unpack_from("<I", blob, at)
+    at += 4
+    for _ in range(n_layers):
+        d_in, d_out, _act = struct.unpack_from("<IIB", blob, at)
+        at += 9 + 8 * (d_in * d_out + d_out)
+    return at
+
+
+def test_embedding_block_follows_the_documented_layout(tmp_path):
+    # README: magic, u32 version, u64 table seed, 32-byte hash, the summary
+    # (kind and log1p bytes; linear: u32 k, u32 n, k x n values, k
+    # intercepts), u32 net count, then per net psi and the cosine embedding
+    # as u32 n_cos, u32 m, n_cos x m weights, m biases.
+    ckpt = _linear_checkpoint()
+    path = tmp_path / "layout.gbcq"
+    save_checkpoint(path, ckpt)
+    blob = path.read_bytes()
+    assert blob[:4] == b"GBCQ"
+    at = 4 + 4 + 8 + 32
+    kind, _log1p, k, n = struct.unpack_from("<BBII", blob, at)
+    assert kind == 0
+    at += 10 + 8 * (k * n + k)
+    (n_nets,) = struct.unpack_from("<I", blob, at)
+    assert n_nets == 2
+    at = _read_net_bytes(blob, at + 4)
+    n_cos, m = struct.unpack_from("<II", blob, at)
+    at += 8
+    (layer,) = ckpt.nets[0].phi.layers
+    assert (n_cos, m) == layer.weight.shape == (6, 4)
+    weights = np.frombuffer(blob, "<f8", n_cos * m, at).reshape(n_cos, m)
+    biases = np.frombuffer(blob, "<f8", m, at + 8 * n_cos * m)
+    assert weights.tobytes() == layer.weight.tobytes()
+    assert biases.tobytes() == layer.bias.tobytes()
+    # g follows at once: no activation byte in the embedding block.
+    after = at + 8 * (n_cos * m + m)
+    assert struct.unpack_from("<I", blob, after)[0] == len(ckpt.nets[0].g.layers)
 
 
 def test_save_is_deterministic(tmp_path):

@@ -345,11 +345,40 @@ def test_fiducial_location_model_uses_the_row_mean(smoke):
 
 
 def test_threads_is_rejected_where_unused(smoke):
+    # No command takes a thread count: table simulation uses every CPU the
+    # process may run on, and its bytes do not depend on how many.
     cfg, tmp = smoke
-    proc = run_cli("sample", "--config", str(cfg), "--out", str(tmp), "--threads", "2")
-    assert proc.returncode == 2
-    assert "--threads" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    for command in ("gen-table", "benchmark-normal", "sample"):
+        proc = run_cli(
+            command, "--config", str(cfg), "--out", str(tmp), "--threads", "2"
+        )
+        assert proc.returncode == 2
+        assert "--threads" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["abc", "gen-table"])
+def test_prior_of_the_wrong_dimension_is_config_error(
+    smoke, monkeypatch, capsys, command
+):
+    """A prior with more coordinates than the simulator takes is rejected
+    before anything is simulated, by ``abc`` as by ``gen-table``."""
+    cfg, tmp = smoke
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the prior was checked")
+
+    monkeypatch.setattr(NormalLocationSimulator, "simulate_batch", no_simulation)
+    cfg.write_text(cfg.read_text().replace("normal(0,2)", "normal(0,5) normal(0,5)"))
+    y_obs = tmp / "y.csv"
+    y_obs.write_text(",".join(["0.5"] * 6) + "\n")
+    argv = [command, "--config", str(cfg), "--out", str(tmp / "out")]
+    if command == "abc":
+        argv += ["--y-obs", str(y_obs)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "prior has 2 coordinates" in err
+    assert not (tmp / "out" / "abc_draws.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -245,6 +245,8 @@ def test_quantile_trajectories_validation():
         quantile_index_replicates(np.ones((10, 5)), probs=(0.5, 0.5))
     with pytest.raises(ValueError):
         quantile_index_replicates(np.ones((10, 5)), probs=(0.0, 0.5))
+    with pytest.raises(ValueError):
+        quantile_index_replicates(np.ones((10, 5)), probs=(0.1, np.nan, 0.9))
 
 
 def _small_table():

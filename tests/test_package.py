@@ -49,3 +49,18 @@ def test_every_module_level_definition_has_a_caller_outside_the_tests():
         if name not in used and not re.search(rf"\b{re.escape(name)}\b", harness)
     }
     assert not unused, f"defined in src/gbc but run only by tests: {unused}"
+
+
+def test_only_feed_forward_net_defines_backward():
+    """The dense layer's backward pass is written once: no class in the
+    package other than ``FeedForwardNet`` defines ``backward`` (the cosine
+    embedding inherits it)."""
+    owners = sorted(
+        f"{path.name}:{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and f.name == "backward" for f in node.body)
+    )
+    assert owners == ["nets.py:FeedForwardNet"]

@@ -12,7 +12,12 @@ import pytest
 
 from gbc import cli, models, pipeline, quantile
 from gbc.checkpoint import Checkpoint, save_checkpoint
-from gbc.config import RunConfig, network_spec_from_config, optimizer_spec_from_config
+from gbc.config import (
+    RunConfig,
+    network_spec_from_config,
+    optimizer_spec_from_config,
+    prior_from_config,
+)
 from gbc.errors import ConfigError, TrainingDivergence
 from gbc.formats import fmt_value
 from gbc.quantile import train_iqn
@@ -123,9 +128,7 @@ def test_epidemic_benchmark_stays_in_prior_box(monkeypatch):
     monkeypatch.setattr(models.EpidemicSimulator, "simulate_weeks", record_predictive)
     pipeline.benchmark_epidemic(cfg, 3)
 
-    box = np.array(
-        [(c.lo, c.hi) for c in pipeline.prior_from_config(cfg).coords]
-    )
+    box = np.array([(c.lo, c.hi) for c in prior_from_config(cfg).coords])
     for recorded in (design, predictive):
         thetas = np.vstack(recorded)
         assert np.all(thetas >= box[:, 0]) and np.all(thetas <= box[:, 1])

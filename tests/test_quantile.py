@@ -10,6 +10,7 @@ from gbc import quantile
 from gbc.analytic import NormalNormalModel, conjugate_posterior
 from gbc.errors import ConfigError, TrainingDivergence
 from gbc.models import ReferenceTable
+from gbc.nets import RELU, gradient_check
 from gbc.quantile import (
     AutoregressiveQuantileModel,
     CosineEmbedding,
@@ -39,27 +40,42 @@ def _identity_summary(n=1):
 
 def test_embedding_matches_direct_formula():
     emb = CosineEmbedding.create(6, 4, RngStream(1))
+    (layer,) = emb.layers
     taus = np.array([0.13, 0.5, 0.77])
     got = emb.forward(taus)
     i = np.arange(6)
-    want = np.maximum(np.cos(np.pi * taus[:, None] * i) @ emb.weight + emb.bias, 0.0)
+    basis = np.cos(np.pi * taus[:, None] * i)
+    want = np.maximum(basis @ layer.weight + layer.bias, 0.0)
     assert np.allclose(got, want, atol=1e-12)
+
+
+def test_embedding_create_draws_he_scaled_weights_and_zero_biases():
+    # One ReLU layer: He-scaled Gaussian weights from the stream, in the
+    # stream's order, and zero biases.
+    emb = CosineEmbedding.create(7, 5, RngStream(11))
+    want = RngStream(11).generator.normal(0.0, np.sqrt(2.0 / 7), (7, 5))
+    (layer,) = emb.layers
+    assert layer.activation == RELU
+    assert layer.weight.tobytes() == want.tobytes()
+    assert layer.bias.tobytes() == np.zeros(5).tobytes()
 
 
 def test_embedding_tau_zero_uses_unit_basis():
     # cos(0) = 1 for every frequency, so the basis row is all ones.
     emb = CosineEmbedding.create(5, 3, RngStream(2))
+    (layer,) = emb.layers
     got = cosine_embed(0.0, emb)
-    want = np.maximum(emb.weight.sum(axis=0) + emb.bias, 0.0)
+    want = np.maximum(layer.weight.sum(axis=0) + layer.bias, 0.0)
     assert np.allclose(got, want, atol=1e-12)
 
 
 def test_embedding_tau_one_alternates_signs():
     # cos(pi * i) = (-1)^i.
     emb = CosineEmbedding.create(5, 3, RngStream(3))
+    (layer,) = emb.layers
     got = cosine_embed(1.0, emb)
     signs = (-1.0) ** np.arange(5)
-    want = np.maximum(signs @ emb.weight + emb.bias, 0.0)
+    want = np.maximum(signs @ layer.weight + layer.bias, 0.0)
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -88,26 +104,10 @@ def test_embedding_rejects_out_of_range_levels():
 
 def test_embedding_backward_matches_finite_differences():
     emb = CosineEmbedding.create(5, 3, RngStream(6))
-    emb.bias[:] = 0.3  # keep ReLU pre-activations away from the kink
+    emb.layers[0].bias[:] = 0.3  # keep ReLU pre-activations away from the kink
     taus = np.array([0.2, 0.4, 0.8])
     out_grad = RngStream(7).generator.normal(size=(3, 3))
-
-    def loss():
-        return float(np.sum(out_grad * emb.forward(taus)))
-
-    grads = emb.backward(emb.forward_cached(taus)[1], out_grad)
-    h = 1e-6
-    for p, g in zip(emb.parameters(), grads):
-        fd = np.empty_like(p)
-        for ix in np.ndindex(p.shape):
-            old = p[ix]
-            p[ix] = old + h
-            up = loss()
-            p[ix] = old - h
-            down = loss()
-            p[ix] = old
-            fd[ix] = (up - down) / (2 * h)
-        assert np.allclose(g, fd, atol=1e-5)
+    assert gradient_check(emb, taus, out_grad) < 1e-6
 
 
 # ------------------------------------------------------------- pinball loss
@@ -243,8 +243,8 @@ def test_train_iqn_validates_inputs():
 
 
 def _iqn_arrays(net):
-    return [a for part in (net.psi.layers, [net.phi], net.g.layers)
-            for h in part for a in (h.weight, h.bias)]
+    return [a for part in (net.psi.layers, net.phi.layers, net.g.layers)
+            for lay in part for a in (lay.weight, lay.bias)]
 
 
 def _two_param_table(n_rows, seed):
@@ -303,10 +303,8 @@ def test_composite_gradient_matches_finite_differences():
     phi = CosineEmbedding.create(6, 4, rng.child("phi"))
     g = FeedForwardNet.create([4, 8, 1], rng.child("g"))
     gen = rng.child("data").generator
-    for net in (psi, g):
-        for lay in net.layers:
-            lay.bias += gen.uniform(0.2, 0.5, size=lay.bias.shape)
-    phi.bias += gen.uniform(0.2, 0.5, size=phi.bias.shape)
+    for lay in psi.layers + g.layers + phi.layers:
+        lay.bias += gen.uniform(0.2, 0.5, size=lay.bias.shape)
 
     x = gen.normal(size=(8, 2))
     taus = gen.uniform(0.05, 0.95, size=8)
@@ -329,7 +327,7 @@ def test_composite_gradient_matches_finite_differences():
     dout = (((u < 0.0) - taus) / 8)[:, None]
     grads_g, dh = g.backward(cache_g, dout)
     grads_psi, _ = psi.backward(cache_psi, dh * b)
-    grads_phi = phi.backward(cache_phi, dh * a)
+    grads_phi, _ = phi.backward(cache_phi, dh * a)
     analytic = grads_psi + grads_phi + grads_g
 
     h = 1e-6

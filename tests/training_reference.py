@@ -2,7 +2,7 @@
 parameter buffer.
 
 Kept only as a test oracle. ``reference_train_minibatch`` trains the
-holders' ``weight``/``bias`` arrays block by block, with the optimizer
+layers' ``weight``/``bias`` arrays block by block, with the optimizer
 updates written as whole-array expressions; ``gbc.nets.train_minibatch``
 must reproduce its parameters and losses bit for bit. It takes the same
 arguments, so a test can patch it in where a trainer looks the loop up.
@@ -50,9 +50,9 @@ class ReferenceAdam:
 
 
 def reference_train_minibatch(
-    holders, spec, n, gen, batch_step, what, draw_epoch=None
+    layers, spec, n, gen, batch_step, what, draw_epoch=None
 ):
-    params = [a for h in holders for a in (h.weight, h.bias)]
+    params = [a for lay in layers for a in (lay.weight, lay.bias)]
     if spec.method == "adam":
         optimizer = ReferenceAdam(spec.lr)
     else:
