@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DataError
 from .formats import BinaryReader, BinaryWriter
 from .nets import FeedForwardNet, Layer, IDENTITY, RELU

@@ -233,6 +233,8 @@ def cmd_benchmark_normal(args, cfg, seed, out) -> int:
         ["posterior_mean", "posterior_sd", "y_bar"],
         [[result.posterior_mean, result.posterior_sd, result.y_bar]],
     )
+    print(f"quantile-net crossing rate {result.crossing_rate:.4f} "
+          f"(adjacent tau-grid pairs out of order before rearrangement)")
     print(f"wrote report to {out / 'benchmark_normal.csv'}")
     return _verdict(result, "all benchmark thresholds met")
 

@@ -34,7 +34,6 @@ from .formats import (
     write_csv,
 )
 from .quantile import checked_tau_grid
-from .rng import RngStream
 
 # Parameter box for the epidemic scenario coordinates theta1..theta5:
 # per-contact transmission probability, initial infected, intervention week,

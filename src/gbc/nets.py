@@ -11,9 +11,11 @@ copies every ``weight`` and ``bias`` of the trained layers into one
 contiguous float64 vector and rebinds them as reshaped views of it, so the
 nets keep their usual shape-wise arrays while each minibatch step costs one
 optimizer update, one finiteness check and, in the averaged tail, one Polyak
-add on the whole vector. The gradients of a step are copied into one
-matching flat vector. ``FeedForwardNet`` is the one dense layer stack with a
-backward pass; the quantile nets' cosine embedding is a one-layer subclass.
+add on the whole vector. The gradients of a step live in one matching flat
+vector: ``backward`` writes each layer's gradients straight into its
+reshaped views, so a step neither allocates nor copies them.
+``FeedForwardNet`` is the one dense layer stack with a backward pass; the
+quantile nets' cosine embedding is a one-layer subclass.
 
 Shape conventions: a layer maps ``(B, d_in) -> (B, d_out)`` via
 ``x @ weight + bias``; 1-D inputs are treated as a single row and squeezed
@@ -120,32 +122,42 @@ class FeedForwardNet:
             )
         records = []
         for lay in self.layers:
-            z = h @ lay.weight + lay.bias
+            z = h @ lay.weight
+            z += lay.bias
             records.append((h, z))
             h = np.maximum(z, 0.0) if lay.activation == RELU else z
         out = h[0] if squeeze else h
         return out, (records, squeeze)
 
-    def backward(self, cache, out_grad, input_grad=True):
+    def backward(self, cache, out_grad, input_grad=True, grads=None):
         """Exact gradients of ``sum(out_grad * forward(x))``.
 
         Returns ``(param_grads, input_grad)`` where ``param_grads`` is a flat
         list aligned with :meth:`parameters` and ``input_grad`` matches the
         shape of the forward input. With ``input_grad=False`` the first
         layer's ``g @ W.T`` is skipped and ``None`` returned in its place.
+        ``grads``, when given, is a list of arrays aligned with
+        :meth:`parameters`; the gradients are written into it and it is
+        returned. Without it, fresh arrays are allocated. ``out_grad`` is
+        never written to.
         """
         records, squeeze = cache
         g = np.asarray(out_grad, dtype=np.float64)
         if squeeze:
             g = g.reshape(1, -1)
-        grads = [None] * (2 * len(self.layers))
-        for i in range(len(self.layers) - 1, -1, -1):
+        if grads is None:
+            grads = [np.empty_like(p) for p in self.parameters()]
+        last = len(self.layers) - 1
+        for i in range(last, -1, -1):
             inp, z = records[i]
             lay = self.layers[i]
             if lay.activation == RELU:
-                g = g * (z > 0.0)
-            grads[2 * i] = inp.T @ g
-            grads[2 * i + 1] = g.sum(axis=0)
+                if i == last:
+                    g = g * (z > 0.0)  # the caller's array
+                else:
+                    g *= z > 0.0
+            np.matmul(inp.T, g, out=grads[2 * i])
+            g.sum(axis=0, out=grads[2 * i + 1])
             if i == 0 and not input_grad:
                 return grads, None
             g = g @ lay.weight.T
@@ -363,6 +375,19 @@ class OptimizerSpec:
         return self.lr
 
 
+def _parameter_arrays(layers):
+    return [a for lay in layers for a in (lay.weight, lay.bias)]
+
+
+def _views_like(flat, arrays):
+    """Consecutive reshaped views of ``flat``, one shaped like each array."""
+    views, offset = [], 0
+    for a in arrays:
+        views.append(flat[offset : offset + a.size].reshape(a.shape))
+        offset += a.size
+    return views
+
+
 def flatten_parameters(layers) -> np.ndarray:
     """Copy the ``weight`` and ``bias`` of each layer, in order, into one
     contiguous float64 vector and rebind them as reshaped views of it.
@@ -371,13 +396,11 @@ def flatten_parameters(layers) -> np.ndarray:
     order matches :meth:`FeedForwardNet.parameters` when ``layers`` are a
     net's layers.
     """
-    flat = np.concatenate([a.ravel() for lay in layers for a in (lay.weight, lay.bias)])
-    offset = 0
-    for lay in layers:
-        for name in ("weight", "bias"):
-            a = getattr(lay, name)
-            setattr(lay, name, flat[offset : offset + a.size].reshape(a.shape))
-            offset += a.size
+    arrays = _parameter_arrays(layers)
+    flat = np.concatenate([a.ravel() for a in arrays])
+    views = _views_like(flat, arrays)
+    for lay, weight, bias in zip(layers, views[::2], views[1::2]):
+        lay.weight, lay.bias = weight, bias
     return flat
 
 
@@ -392,17 +415,21 @@ def train_minibatch(
     ``draw_epoch(gen)`` when given (per-row draws shared by the epoch's
     batches), shuffles the ``n`` rows with ``gen`` and takes one optimizer
     step per batch.
-    ``batch_step(idx, drawn)`` returns ``(loss summed over the batch rows,
-    gradients [dW, db, ...] in layer order)``. The epoch loss is that sum
-    over all rows divided by ``n``. Over the final ``spec.average_tail``
-    fraction of epochs the end-of-epoch parameters are averaged (Polyak),
-    and the parameters end at that average. A non-finite gradient or epoch
+    ``batch_step(idx, drawn, grads)`` writes every entry of ``grads`` on
+    every call and returns the loss summed over the batch rows. ``grads``
+    is the list ``[dW, db, ...]`` in layer order, made once: reshaped views
+    of one flat gradient vector, the list ``FeedForwardNet.backward`` takes
+    as its ``grads``. The epoch loss is that sum over all rows divided by
+    ``n``. Over the final ``spec.average_tail`` fraction of epochs the
+    end-of-epoch parameters are averaged (Polyak), and the parameters end at
+    that average. A non-finite gradient or epoch
     loss raises :class:`TrainingDivergence` carrying the epoch; ``what``
     names the training in its message.
     """
     flat = flatten_parameters(layers)
-    shapes = [a.shape for lay in layers for a in (lay.weight, lay.bias)]
     flat_grad = np.empty_like(flat)
+    grads = _views_like(flat_grad, _parameter_arrays(layers))
+    finite = np.empty(flat.size, dtype=bool)
     optimizer = spec.build(flat.size)
     losses = np.empty(spec.epochs)
     # Pinball gradients stay O(1) at the optimum, so the iterates never stop
@@ -416,15 +443,8 @@ def train_minibatch(
         perm = gen.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, spec.batch_size):
-            loss, grads = batch_step(perm[start : start + spec.batch_size], drawn)
-            loss_sum += loss
-            if [g.shape for g in grads] != shapes:
-                raise ValueError(
-                    f"{what} gradient shapes {[g.shape for g in grads]} do not "
-                    f"match parameter shapes {shapes}"
-                )
-            np.concatenate([g.ravel() for g in grads], out=flat_grad)
-            if not np.all(np.isfinite(flat_grad)):
+            loss_sum += batch_step(perm[start : start + spec.batch_size], drawn, grads)
+            if not np.isfinite(flat_grad, out=finite).all():
                 raise TrainingDivergence(
                     f"{what} training produced a non-finite gradient "
                     f"at epoch {epoch}",

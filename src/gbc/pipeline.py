@@ -238,6 +238,8 @@ class NormalBenchmarkResult:
     posterior_mean: float
     posterior_sd: float
     y_bar: float
+    # Fraction of adjacent tau-grid pairs the raw net quantiles order backwards.
+    crossing_rate: float
     failures: list
 
     @property
@@ -293,7 +295,7 @@ def benchmark_normal(cfg: RunConfig, seed) -> NormalBenchmarkResult:
     summary, _, _ = fit_summary(cfg, table, seed)
     ckpt, _ = train_chain(cfg, table, summary, seed)
     qmodel = ckpt.model()
-    curve, _crossing = posterior_quantile_curve(qmodel, y_obs, tau_grid)
+    curve, crossing_rate = posterior_quantile_curve(qmodel, y_obs, tau_grid)
     max_qerr = float(np.max(np.abs(curve - post.quantile(tau_grid))))
     draws = qmodel.sample(y_obs, n_draws, root.child("net-sample"))[:, 0]
     net_w1 = w1_distance(draws, post.quantile)
@@ -363,6 +365,7 @@ def benchmark_normal(cfg: RunConfig, seed) -> NormalBenchmarkResult:
         posterior_mean=post.mean,
         posterior_sd=sigma,
         y_bar=y_bar,
+        crossing_rate=crossing_rate,
         failures=failures,
     )
 

@@ -40,8 +40,9 @@ class CosineEmbedding(FeedForwardNet):
         taus = np.asarray(taus, dtype=np.float64)
         if not np.all((taus >= 0.0) & (taus <= 1.0)):
             raise ValueError("quantile levels must lie in [0, 1]")
-        i = np.arange(self.input_dim)
-        return np.cos(np.pi * np.outer(taus, i))  # (B, n_cos)
+        out = np.multiply.outer(taus, np.arange(self.input_dim))  # (B, n_cos)
+        out *= np.pi
+        return np.cos(out, out=out)
 
     def forward_cached(self, taus):
         return super().forward_cached(self.basis(taus))
@@ -85,22 +86,36 @@ class ImplicitQuantileNet:
         (B, c) paired with taus of length B.
 
         Runs in row blocks (``_row_blocks``), so each block's temporaries
-        stay in cache. The values are the same bytes as one whole-array
-        pass.
+        stay in cache. A shared vector gives every block of one length the
+        same psi input, so psi runs once per distinct block length (at most
+        two) and its output is reused; phi and g run per block. The values
+        are the same bytes as one whole-array pass.
         """
         cond = np.asarray(cond, dtype=np.float64)
         taus = np.asarray(taus, dtype=np.float64)
-        if cond.ndim == 1:
-            cond = np.broadcast_to(cond, (taus.shape[0], cond.shape[0]))
-        if cond.shape[0] != taus.shape[0]:
+        shared = cond.ndim == 1
+        if not shared and cond.shape[0] != taus.shape[0]:
             raise ValueError(
                 f"{cond.shape[0]} conditioning rows for {taus.shape[0]} quantile levels"
             )
         out = np.empty(taus.shape[0])
+        psi_by_length = {}
         for rows in _row_blocks(taus.shape[0]):
-            a = self.psi.forward((cond[rows] - self.cond_mean) / self.cond_sd)
+            if shared:
+                n = rows.stop - rows.start
+                if n not in psi_by_length:
+                    block = np.broadcast_to(cond, (n, cond.shape[0]))
+                    psi_by_length[n] = self._psi_block(block)
+                a = psi_by_length[n]
+            else:
+                a = self._psi_block(cond[rows])
             out[rows] = self.g.forward(a * self.phi.forward(taus[rows]))[:, 0]
         return out * self.target_sd + self.target_mean
+
+    def _psi_block(self, cond_rows):
+        # A block of several rows, never one row broadcast afterwards: a
+        # one-row product takes BLAS's gemv path, whose bytes differ.
+        return self.psi.forward((cond_rows - self.cond_mean) / self.cond_sd)
 
 
 def train_iqn(
@@ -145,7 +160,10 @@ def train_iqn(
         target_mean=t_mean, target_sd=t_sd,
     )
 
-    def batch_step(idx, taus):
+    # Where each net's gradients sit in train_minibatch's list.
+    n_psi, n_phi = 2 * len(psi.layers), 2 * len(phi.layers)
+
+    def batch_step(idx, taus, grads):
         tb, taub = t[idx], taus[idx]
         a, cache_psi = psi.forward_cached(x[idx])
         b, cache_phi = phi.forward_cached(taub)
@@ -155,10 +173,11 @@ def train_iqn(
         loss = float(np.sum(u * (taub - (u < 0.0))))
         # d(mean pinball)/d(out) = (1[u<0] - tau) / batch
         dout = (((u < 0.0) - taub) / len(idx))[:, None]
-        grads_g, dh = g.backward(cache_g, dout)
-        grads_psi, _ = psi.backward(cache_psi, dh * b, input_grad=False)
-        grads_phi, _ = phi.backward(cache_phi, dh * a, input_grad=False)
-        return loss, grads_psi + grads_phi + grads_g
+        _, dh = g.backward(cache_g, dout, grads=grads[n_psi + n_phi :])
+        psi.backward(cache_psi, dh * b, input_grad=False, grads=grads[:n_psi])
+        phi.backward(cache_phi, dh * a, input_grad=False,
+                     grads=grads[n_psi : n_psi + n_phi])
+        return loss
 
     n = x.shape[0]
     # Each epoch draws a fresh quantile level per row before shuffling.
@@ -196,16 +215,18 @@ class AutoregressiveQuantileModel:
         s = self._summary_of(y_obs)
         gen = rng.generator
         draws = np.empty((n_draws, self.dim))
-        cond = np.broadcast_to(s, (n_draws, s.shape[0]))
         for k, net in enumerate(self.nets):
             taus = gen.uniform(size=n_draws)
-            full = np.hstack([cond, draws[:, :k]])
-            if full.shape[1] != net.cond_dim:
+            if s.shape[0] + k != net.cond_dim:
                 raise ValueError(
                     f"net {k} expects conditioning dim {net.cond_dim}, "
-                    f"got {full.shape[1]}"
+                    f"got {s.shape[0] + k}"
                 )
-            draws[:, k] = net.quantile_values(full, taus)
+            # Net 0 conditions on the summary alone: one vector for all rows.
+            cond = s if k == 0 else np.hstack(
+                [np.broadcast_to(s, (n_draws, s.shape[0])), draws[:, :k]]
+            )
+            draws[:, k] = net.quantile_values(cond, taus)
         return draws
 
     def quantile_values(self, y_obs, taus) -> np.ndarray:

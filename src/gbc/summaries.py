@@ -143,14 +143,14 @@ def fit_posterior_mean_net(
         [ys.shape[1], *hidden, d], rng.child("summary-init")
     )
 
-    def batch_step(idx, _drawn):
+    def batch_step(idx, _drawn, grads):
         out, cache = net.forward_cached(x_train[idx])
         resid = out - t_train[idx]
         loss = float(np.sum(resid**2 * t_sd**2))
-        grads, _ = net.backward(
-            cache, (2.0 / (len(idx) * d)) * resid, input_grad=False
+        net.backward(
+            cache, (2.0 / (len(idx) * d)) * resid, input_grad=False, grads=grads
         )
-        return loss, grads
+        return loss
 
     losses = train_minibatch(
         net.layers, opt, x_train.shape[0],

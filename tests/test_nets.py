@@ -113,6 +113,41 @@ def test_backward_without_input_gradient_keeps_parameter_gradients():
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _expression_backward(net, x, out_grad):
+    """Parameter gradients as whole-array expressions, one new array each."""
+    hs, zs = [x], []
+    for lay in net.layers:
+        zs.append(hs[-1] @ lay.weight + lay.bias)
+        hs.append(np.maximum(zs[-1], 0.0) if lay.activation == "relu" else zs[-1])
+    g, grads = out_grad, []
+    for i in range(len(net.layers) - 1, -1, -1):
+        if net.layers[i].activation == "relu":
+            g = g * (zs[i] > 0.0)
+        grads[:0] = [hs[i].T @ g, g.sum(axis=0)]
+        g = g @ net.layers[i].weight.T
+    return grads
+
+
+@pytest.mark.parametrize("final", ["identity", "relu"])
+def test_backward_writes_into_given_gradient_arrays(final):
+    net = FeedForwardNet.create([5, 16, 8, 3], RngStream(45), final_activation=final)
+    gen = RngStream(46).generator
+    x = gen.normal(size=(37, 5))
+    og = gen.normal(size=(37, 3))
+    og_before = og.copy()
+    _, cache = net.forward_cached(x)
+    fresh, fresh_in = net.backward(cache, og)
+    bufs = [np.full_like(p, np.nan) for p in net.parameters()]
+    got, got_in = net.backward(cache, og, grads=bufs)
+    assert got is bufs
+    assert got_in.tobytes() == fresh_in.tobytes()
+    for a, b, c in zip(bufs, fresh, _expression_backward(net, x, og)):
+        assert a.shape == b.shape == c.shape
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+    # The caller's output gradient is read, never masked in place.
+    assert og.tobytes() == og_before.tobytes()
+
+
 def test_run_gradient_check_hundred_nets():
     worst = run_gradient_check(100, RngStream(2024))
     assert worst < 1e-5
@@ -201,12 +236,13 @@ def test_train_minibatch_nan_gradient_raises_divergence_with_epoch():
     layer = Layer(np.zeros((2, 3)), np.zeros(3), "identity")
     steps = []
 
-    def batch_step(idx, _drawn):
+    def batch_step(idx, _drawn, grads):
         steps.append(idx)
-        grad_b = np.zeros(3)
+        for g in grads:
+            g[...] = 0.0
         if len(steps) == 5:  # the first batch of epoch 2, at two per epoch
-            grad_b[1] = np.nan
-        return float(len(idx)), [np.zeros((2, 3)), grad_b]
+            grads[1][1] = np.nan
+        return float(len(idx))
 
     spec = OptimizerSpec(epochs=4, batch_size=5)
     with pytest.raises(TrainingDivergence, match="test training") as err:
@@ -215,14 +251,20 @@ def test_train_minibatch_nan_gradient_raises_divergence_with_epoch():
 
 
 def test_train_minibatch_rejects_gradients_that_do_not_fit_the_holders():
+    # The gradients of a (3, 2) layer written into the holders of a (2, 3)
+    # layer: the writes do not fit, and nothing reaches the optimizer.
     layer = Layer(np.zeros((2, 3)), np.zeros(3), "identity")
+    other = FeedForwardNet([Layer(np.zeros((3, 2)), np.zeros(2), "identity")])
 
-    def batch_step(idx, _drawn):
-        return float(len(idx)), [np.zeros(6), np.zeros(3)]
+    def batch_step(idx, _drawn, grads):
+        _, cache = other.forward_cached(np.ones((len(idx), 3)))
+        other.backward(cache, np.ones((len(idx), 2)), grads=grads)
+        return float(len(idx))
 
     spec = OptimizerSpec(epochs=1, batch_size=5)
-    with pytest.raises(ValueError, match="gradient shapes"):
+    with pytest.raises(ValueError):
         train_minibatch([layer], spec, 10, RngStream(75).generator, batch_step, "test")
+    assert not layer.weight.any() and not layer.bias.any()
 
 
 def test_invalid_hyperparameters_rejected():

@@ -1,7 +1,9 @@
 """What ``src/gbc`` keeps: code that a command or the benchmark runs."""
 
 import ast
+import importlib
 import re
+import types
 from pathlib import Path
 
 import gbc
@@ -64,3 +66,53 @@ def test_only_feed_forward_net_defines_backward():
                 and f.name == "backward" for f in node.body)
     )
     assert owners == ["nets.py:FeedForwardNet"]
+
+
+def _bound_imports(tree):
+    """(bound name, line) of every import in a module but ``__future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _harness_module_reads(monkeypatch):
+    """(module, name) pairs the benchmark harness reads off gbc modules: the
+    ``module.name`` attributes its code loads and the names its tracer
+    looks up on a module to wrap them."""
+    reads = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                reads.add((node.value.id, node.attr))
+
+    class Recorder:
+        def wrap(self, target, name, *args, **kwargs):
+            if isinstance(target, types.ModuleType):
+                reads.add((target.__name__.rpartition(".")[2], name))
+
+        count = wrap
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    importlib.import_module("layers").install(Recorder())
+    return reads
+
+
+def test_every_import_in_the_package_is_used(monkeypatch):
+    """A module uses every name it imports, unless the benchmark harness
+    reads that name off the module (``pipeline.write_csv``)."""
+    reads = _harness_module_reads(monkeypatch)
+    assert ("pipeline", "apply_summary") in reads  # the tracer's names are seen
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in _bound_imports(tree)
+            if name not in loaded and (path.stem, name) not in reads
+        ]
+    assert not unused, f"imported but unused: {unused}"

@@ -249,6 +249,19 @@ def test_benchmark_normal_reports_a_fiducial_run_with_no_acceptances(tmp_path):
     assert not result.ok
 
 
+def test_benchmark_normal_reports_its_crossing_rate(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_text(TINY_NORMAL)
+    result = pipeline.benchmark_normal(RunConfig.from_file(path), 7)
+    assert 0.0 <= result.crossing_rate <= 1.0
+    # A share of the default grid's adjacent pairs.
+    pairs = result.crossing_rate * (len(pipeline.DEFAULT_TAU_GRID) - 1)
+    assert abs(pairs - round(pairs)) < 1e-9
+    cli.main(["benchmark-normal", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert (f"quantile-net crossing rate {result.crossing_rate:.4f} "
+            in capsys.readouterr().out)
+
+
 # ---------------------------------------------------------------------------
 # Chain training in worker processes.
 

@@ -355,7 +355,8 @@ def test_autoregressive_chain_passes_conditioning_forward():
             self.cond_dim = cond_dim
 
         def quantile_values(self, cond, taus):
-            return cond.sum(axis=1) + taus
+            # Net 0 gets the summary as one vector shared by every level.
+            return np.atleast_2d(cond).sum(axis=1) + taus
 
     summary = SummaryMap(
         kind="linear", matrix=np.array([[1.0, 1.0]]), intercept=np.array([0.0])

@@ -100,6 +100,24 @@ def test_row_blocks_start_at_block_multiples_and_fold_a_one_row_tail():
         assert all(b.stop - b.start > 1 for b in blocks[1:])
 
 
+def test_a_shared_conditioning_vector_runs_psi_once_per_block_length(monkeypatch):
+    # 10,000 rows are nine 1,024-row blocks and a 784-row tail: two lengths.
+    model, y_obs = _chains()["d1-linear"]
+    psi = model.nets[0].psi
+    rows = []
+
+    def counted(x, forward=psi.forward):
+        rows.append(x.shape[0])
+        return forward(x)
+
+    monkeypatch.setattr(psi, "forward", counted)
+    model.nets[0].quantile_values(model._summary_of(y_obs), np.full(10_000, 0.5))
+    assert rows == [1024, 784]
+    rows.clear()
+    model.sample(y_obs, 10_000, RngStream(9))
+    assert rows == [1024, 784]
+
+
 def test_conditioning_rows_must_match_the_levels():
     model, _ = _chains()["d1-linear"]
     with pytest.raises(ValueError, match="3 conditioning rows for 5 quantile levels"):

@@ -5,7 +5,10 @@ Kept only as a test oracle. ``reference_train_minibatch`` trains the
 layers' ``weight``/``bias`` arrays block by block, with the optimizer
 updates written as whole-array expressions; ``gbc.nets.train_minibatch``
 must reproduce its parameters and losses bit for bit. It takes the same
-arguments, so a test can patch it in where a trainer looks the loop up.
+arguments and calls ``batch_step(idx, drawn, grads)`` the same way, but
+with fresh NaN-filled per-block gradient arrays each step, so a step that
+leaves a gradient unwritten diverges here. A test can patch it in where a
+trainer looks the loop up.
 """
 
 import numpy as np
@@ -67,8 +70,8 @@ def reference_train_minibatch(
         perm = gen.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, spec.batch_size):
-            loss, grads = batch_step(perm[start : start + spec.batch_size], drawn)
-            loss_sum += loss
+            grads = [np.full_like(p, np.nan) for p in params]
+            loss_sum += batch_step(perm[start : start + spec.batch_size], drawn, grads)
             if not all(np.all(np.isfinite(g)) for g in grads):
                 raise TrainingDivergence(f"{what}: non-finite gradient", epoch=epoch)
             optimizer.step(params, grads)
