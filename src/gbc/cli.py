@@ -46,6 +46,7 @@ from .pipeline import (
     benchmark_epidemic,
     benchmark_normal,
     build_table,
+    check_training_settings,
     fiducial_model,
     fiducial_stage,
     fit_summary,
@@ -95,23 +96,21 @@ def _read_y_obs(args, size=None) -> np.ndarray:
         raise DataError(
             f"{args.y_obs} holds {data.shape[1]} values; the model takes {size}"
         )
+    if not np.isfinite(data).all():
+        raise DataError(f"{args.y_obs} holds a value that is not a finite number")
     return data[0]
 
 
 def _write_summary_losses(out: Path, losses) -> None:
     if losses is not None:
-        write_csv(
-            out / "summary_loss.csv",
-            ["epoch", "mse"],
-            [[i, v] for i, v in enumerate(losses)],
-        )
+        write_csv(out / "summary_loss.csv", ["epoch", "mse"], enumerate(losses))
 
 
 def _verdict(result, passed) -> int:
     """Print a benchmark's failures and return its exit code."""
     for line in result.failures:
         print(f"FAIL {line}")
-    if not result.ok:
+    if result.failures:
         return 4
     print(passed)
     return 0
@@ -149,6 +148,7 @@ def cmd_fit_summary(args, cfg, seed, out) -> int:
 
 
 def cmd_train(args, cfg, seed, out) -> int:
+    check_training_settings(cfg)
     table = _read_table(_table_path(args, cfg, out))
     summary, summary_losses, mse = fit_summary(cfg, table, seed)
     ckpt, traces = train_chain(cfg, table, summary, seed)
@@ -215,7 +215,7 @@ def cmd_abc(args, cfg, seed, out) -> int:
 
 
 def cmd_fiducial(args, cfg, seed, out) -> int:
-    result = fiducial_stage(cfg, _read_y_obs(args), RngStream(seed).child("fiducial"))
+    result = fiducial_stage(cfg)(_read_y_obs(args), RngStream(seed).child("fiducial"))
     header = FIDUCIAL_HEADERS[fiducial_model(cfg)]
     write_csv(out / "fiducial_draws.csv", header, result.thetas.tolist())
     print(

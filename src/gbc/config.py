@@ -3,6 +3,9 @@
 A config file fully determines a run together with the seed; the canonical
 serialization (sorted sections and keys) is hashed into checkpoints so a
 trained model records the exact configuration that produced it.
+
+Readers turn sections into specs; :func:`optimizer_spec_from_config` alone
+reads the training settings of ``[optimizer]`` and ``[summary]``.
 """
 
 from __future__ import annotations
@@ -88,6 +91,15 @@ class RunConfig:
 
     def get_str(self, section, key, default=None) -> str:
         return str(self.raw(section, key, default))
+
+    def get_choice(self, section, key, choices, default=None) -> str:
+        value = str(self.raw(section, key, default))
+        if value not in choices:
+            raise ConfigError(
+                f"config key [{section}] {key} must be {' or '.join(choices)}, "
+                f"got {value!r}"
+            )
+        return value
 
     def get_int(self, section, key, default=None, minimum=None) -> int:
         raw = self.raw(section, key, default)
@@ -182,7 +194,11 @@ def parse_prior(text) -> PriorSpec:
 
 
 def prior_from_config(cfg: RunConfig) -> PriorSpec:
-    return parse_prior(cfg.get_str("prior", "theta"))
+    text = cfg.get_str("prior", "theta")
+    try:
+        return parse_prior(text)
+    except ConfigError as exc:
+        raise ConfigError(f"config key [prior] theta: {exc}") from None
 
 
 def simulator_params(cfg: RunConfig) -> dict:
@@ -216,26 +232,35 @@ def network_spec_from_config(cfg: RunConfig) -> NetworkSpec:
     )
 
 
-def optimizer_spec_from_config(cfg: RunConfig) -> OptimizerSpec:
-    return checked_optimizer_spec(
-        "optimizer",
-        method=cfg.get_str("optimizer", "method", "adam"),
-        lr=cfg.get_float("optimizer", "lr", 1e-3),
-        momentum=cfg.get_float("optimizer", "momentum", 0.9),
-        epochs=cfg.get_int("optimizer", "epochs", 300),
-        batch_size=cfg.get_int("optimizer", "batch_size", 128),
-        lr_schedule=cfg.get_str("optimizer", "lr_schedule", "step"),
-        average_tail=cfg.get_float("optimizer", "average_tail", 0.2),
+# Each training section's default epochs; lr and batch_size default alike.
+_DEFAULT_EPOCHS = {"optimizer": 300, "summary": 200}
+
+# Keys that chose an optimizer, its momentum or its schedule: every net trains
+# with Adam on a fixed schedule, so a config that sets one is rejected.
+_REMOVED_KEYS = {
+    "optimizer": ("method", "momentum", "lr_schedule", "average_tail"),
+    "summary": ("optimizer", "momentum"),
+}
+
+
+def optimizer_spec_from_config(cfg: RunConfig, section="optimizer") -> OptimizerSpec:
+    """The training settings of ``[optimizer]`` (the quantile nets) or
+    ``[summary]`` (a network summary): ``lr``, ``epochs`` and
+    ``batch_size``. A rejected or removed key raises ConfigError naming
+    its section and key."""
+    removed = [f"[{section}] {key}" for key in _REMOVED_KEYS[section]
+               if cfg.has(section, key)]
+    if removed:
+        raise ConfigError(
+            f"config key {', '.join(removed)} is no longer read: every net "
+            "trains with Adam on a fixed schedule; remove it"
+        )
+    settings = dict(
+        lr=cfg.get_float(section, "lr", 1e-3),
+        epochs=cfg.get_int(section, "epochs", _DEFAULT_EPOCHS[section]),
+        batch_size=cfg.get_int(section, "batch_size", 128),
     )
-
-
-def checked_optimizer_spec(section, method_key="method", **settings) -> OptimizerSpec:
-    """``OptimizerSpec(**settings)`` for settings read from ``[section]``,
-    where each setting's key is its field name and the method's is
-    ``method_key``. A rejected setting raises ConfigError naming its
-    section and key."""
     try:
         return OptimizerSpec(**settings)
     except ConfigError as exc:
-        key = method_key if exc.key == "method" else exc.key
-        raise ConfigError(f"config key [{section}] {key}: {exc}") from None
+        raise ConfigError(f"config key [{section}] {exc.key}: {exc}") from None

@@ -6,8 +6,8 @@ quantile networks. Tables are generated in row blocks, each block on its own
 child stream, so output is bit-identical no matter how many worker threads
 run (and regenerable from seed + config alone). :func:`map_blocks` is the one
 thread fan-out of the package: the reference table, the ABC proposal pool and
-the epidemic benchmark's scenario and predictive cells all run through it,
-each block on its own stream and writing only its own rows.
+the epidemic benchmark's predictive cells all run through it, each block on
+its own stream and writing only its own rows.
 
 Tables are written, read and checked for finiteness in blocks of
 ``formats.ROW_BLOCK`` rows, and CSV tables are parsed in blocks of
@@ -55,8 +55,10 @@ class UniformCoord:
     hi: float
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ConfigError(f"uniform prior needs lo < hi, got [{self.lo}, {self.hi}]")
+        if not -np.inf < self.lo < self.hi < np.inf:
+            raise ConfigError(
+                f"uniform prior needs finite lo < hi, got [{self.lo}, {self.hi}]"
+            )
 
     def sample(self, gen, size):
         return gen.uniform(self.lo, self.hi, size=size)
@@ -68,8 +70,11 @@ class NormalCoord:
     var: float
 
     def __post_init__(self):
-        if self.var <= 0:
-            raise ConfigError(f"normal prior needs variance > 0, got {self.var}")
+        if not (abs(self.mean) < np.inf and 0 < self.var < np.inf):
+            raise ConfigError(
+                "normal prior needs a finite mean and a finite variance > 0, "
+                f"got normal({self.mean}, {self.var})"
+            )
 
     def sample(self, gen, size):
         return gen.normal(self.mean, np.sqrt(self.var), size=size)
@@ -108,8 +113,10 @@ class NormalLocationSimulator:
     name = "normal-location"
 
     def __init__(self, noise_var, n_obs):
-        if noise_var <= 0:
-            raise ConfigError("noise variance must be positive")
+        if not 0 < noise_var < np.inf:
+            raise ConfigError(
+                f"[simulator] noise_var must be positive and finite, got {noise_var}"
+            )
         if n_obs < 1:
             raise ConfigError("n_obs must be at least 1")
         self.noise_var = float(noise_var)
@@ -199,6 +206,8 @@ class EpidemicSimulator:
     def __init__(self, population=100_000, weeks=56, contact=0.5):
         if population < 1 or weeks < 1:
             raise ConfigError("population and weeks must be positive")
+        if not abs(contact) < np.inf:
+            raise ConfigError(f"[simulator] contact must be finite, got {contact}")
         self.population = int(population)
         self.weeks = int(weeks)
         self.contact = float(contact)

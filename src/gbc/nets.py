@@ -1,6 +1,6 @@
-"""Dense feed-forward networks with exact reverse-mode gradients, their
-optimizers, and the one minibatch training loop every net in the package
-is trained with.
+"""Dense feed-forward networks with exact reverse-mode gradients, the Adam
+optimizer, and the one minibatch training loop every net in the package is
+trained with.
 
 All arrays are float64 numpy. Networks are small (a few layers of width
 ~64), so hand-written backprop is both fast enough and fully deterministic,
@@ -10,12 +10,16 @@ Training runs on one flat parameter buffer. :func:`flatten_parameters`
 copies every ``weight`` and ``bias`` of the trained layers into one
 contiguous float64 vector and rebinds them as reshaped views of it, so the
 nets keep their usual shape-wise arrays while each minibatch step costs one
-optimizer update, one finiteness check and, in the averaged tail, one Polyak
-add on the whole vector. The gradients of a step live in one matching flat
+Adam update, one finiteness check and, in the averaged tail, one Polyak add
+on the whole vector. The gradients of a step live in one matching flat
 vector: ``backward`` writes each layer's gradients straight into its
 reshaped views, so a step neither allocates nor copies them.
 ``FeedForwardNet`` is the one dense layer stack with a backward pass; the
 quantile nets' cosine embedding is a one-layer subclass.
+
+Every net trains with Adam (Kingma & Ba 2015) at the rate, epochs and
+batch size of an :class:`OptimizerSpec`. The quantile nets settle their fit
+(a stepped rate and a Polyak-averaged tail); the summary net does not.
 
 Shape conventions: a layer maps ``(B, d_in) -> (B, d_out)`` via
 ``x @ weight + bias``; 1-D inputs are treated as a single row and squeezed
@@ -254,27 +258,6 @@ def _checkable_net(rng, h):
                 return net, x
 
 
-class SgdMomentum:
-    """Stochastic gradient descent with classical momentum on a flat
-    parameter vector of ``size`` entries.
-
-    velocity <- momentum * velocity + grad;  param <- param - lr * velocity.
-    With momentum = 0 this is plain SGD.
-    """
-
-    def __init__(self, size, lr, momentum):
-        self.lr = float(lr)
-        self.momentum = float(momentum)
-        self._velocity = np.zeros(size)
-
-    def step(self, flat, grad):
-        """One in-place update of ``flat`` by ``grad``."""
-        v = self._velocity
-        v *= self.momentum
-        v += grad
-        flat -= self.lr * v
-
-
 class Adam:
     """Adaptive-moment estimation with the standard bias correction, on a
     flat parameter vector of ``size`` entries."""
@@ -324,55 +307,21 @@ class OptimizerSpec:
     """Minibatch training settings. Construction checks every setting and
     raises :class:`ConfigError` whose ``key`` is the rejected field."""
 
-    method: str = "adam"  # "adam" | "sgd"
     lr: float = 1e-3
-    momentum: float = 0.9  # sgd only
     epochs: int = 300
     batch_size: int = 128
-    lr_schedule: str = "step"  # "step" | "constant"
-    average_tail: float = 0.2  # fraction of final epochs to Polyak-average
 
     def __post_init__(self):
         rules = (
-            ("method", self.method in ("adam", "sgd"), "adam or sgd"),
-            ("lr", self.lr > 0.0, "positive"),
-            ("momentum", self.method != "sgd" or 0.0 <= self.momentum < 1.0,
-             "in [0, 1) for sgd"),
+            ("lr", 0.0 < self.lr < np.inf, "a positive finite number"),
             ("epochs", self.epochs >= 1, "a positive integer"),
             ("batch_size", self.batch_size >= 1, "a positive integer"),
-            ("lr_schedule", self.lr_schedule in ("step", "constant"),
-             "step or constant"),
-            ("average_tail", 0.0 <= self.average_tail <= 1.0, "in [0, 1]"),
         )
         for key, ok, rule in rules:
             if not ok:
                 raise ConfigError(
                     f"{key} must be {rule}, got {getattr(self, key)!r}", key=key
                 )
-
-    def build(self, size):
-        """The optimizer for a flat parameter vector of ``size`` entries."""
-        if self.method == "adam":
-            return Adam(size, self.lr)
-        return SgdMomentum(size, self.lr, self.momentum)
-
-    def lr_at(self, epoch):
-        """Learning rate for a given epoch.
-
-        The step schedule drops the rate tenfold at 50% and again at 75% of
-        the epoch budget. Pinball gradients do not vanish at the optimum
-        (the loss is piecewise linear), so without a decay the parameters
-        keep jittering at a scale set by the learning rate; the two drops
-        let the fit settle.
-        """
-        if self.lr_schedule == "constant":
-            return self.lr
-        frac = epoch / self.epochs
-        if frac >= 0.75:
-            return self.lr * 0.01
-        if frac >= 0.5:
-            return self.lr * 0.1
-        return self.lr
 
 
 def _parameter_arrays(layers):
@@ -404,41 +353,54 @@ def flatten_parameters(layers) -> np.ndarray:
     return flat
 
 
+# The fraction of final epochs whose parameters a settled fit averages.
+SETTLE_TAIL = 0.2
+
+
 def train_minibatch(
-    layers, spec: OptimizerSpec, n, gen, batch_step, what, draw_epoch=None
+    layers, spec: OptimizerSpec, n, gen, batch_step, what, draw_epoch=None,
+    settle=False,
 ):
-    """Minibatch training of ``layers`` in place; returns per-epoch mean loss.
+    """Minibatch Adam training of ``layers`` in place; returns per-epoch
+    mean loss.
 
     The ``weight`` and ``bias`` of every layer become views into one flat
     parameter vector (:func:`flatten_parameters`) and stay so after
-    training. Each epoch sets the learning rate from ``spec``, calls
-    ``draw_epoch(gen)`` when given (per-row draws shared by the epoch's
-    batches), shuffles the ``n`` rows with ``gen`` and takes one optimizer
-    step per batch.
+    training. Each epoch calls ``draw_epoch(gen)`` when given (per-row
+    draws shared by the epoch's batches), shuffles the ``n`` rows with
+    ``gen`` and takes one :class:`Adam` step per batch.
     ``batch_step(idx, drawn, grads)`` writes every entry of ``grads`` on
     every call and returns the loss summed over the batch rows. ``grads``
     is the list ``[dW, db, ...]`` in layer order, made once: reshaped views
     of one flat gradient vector, the list ``FeedForwardNet.backward`` takes
     as its ``grads``. The epoch loss is that sum over all rows divided by
-    ``n``. Over the final ``spec.average_tail`` fraction of epochs the
-    end-of-epoch parameters are averaged (Polyak), and the parameters end at
-    that average. A non-finite gradient or epoch
-    loss raises :class:`TrainingDivergence` carrying the epoch; ``what``
-    names the training in its message.
+    ``n``. Without ``settle`` the rate stays ``spec.lr`` and the parameters
+    end where the last step leaves them. With it, the rate drops tenfold at
+    50% and again at 75% of the epochs, the end-of-epoch parameters of the
+    final ``SETTLE_TAIL`` fraction of epochs are averaged (Polyak), and the
+    parameters end at that average. A non-finite gradient or epoch loss
+    raises :class:`TrainingDivergence` carrying the epoch; ``what`` names
+    the training in its message.
     """
     flat = flatten_parameters(layers)
     flat_grad = np.empty_like(flat)
     grads = _views_like(flat_grad, _parameter_arrays(layers))
     finite = np.empty(flat.size, dtype=bool)
-    optimizer = spec.build(flat.size)
+    optimizer = Adam(flat.size, spec.lr)
     losses = np.empty(spec.epochs)
-    # Pinball gradients stay O(1) at the optimum, so the iterates never stop
-    # jittering; averaging the final stretch of epochs removes that jitter.
-    avg_start = spec.epochs - int(round(spec.average_tail * spec.epochs))
+    # Pinball gradients stay O(1) at the optimum (the loss is piecewise
+    # linear), so the iterates never stop jittering at a scale set by the
+    # rate; a settled fit's two rate drops and tail average remove that.
+    avg_start = spec.epochs
+    if settle:
+        avg_start -= int(round(SETTLE_TAIL * spec.epochs))
     avg_sum = None
     n_avg = 0
     for epoch in range(spec.epochs):
-        optimizer.lr = spec.lr_at(epoch)
+        if settle:
+            frac = epoch / spec.epochs
+            drop = 0.01 if frac >= 0.75 else 0.1 if frac >= 0.5 else 1.0
+            optimizer.lr = spec.lr * drop
         drawn = draw_epoch(gen) if draw_epoch is not None else None
         perm = gen.permutation(n)
         loss_sum = 0.0

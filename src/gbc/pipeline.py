@@ -19,7 +19,6 @@ from scipy import stats
 from .analytic import NormalNormalModel, conjugate_posterior
 from .baselines import (
     AbcConfig,
-    FiducialResult,
     abc_epsilon_sweep,
     fiducial_location,
     fiducial_normal_meanvar,
@@ -29,7 +28,6 @@ from .baselines import (
 from .checkpoint import Checkpoint
 from .config import (
     RunConfig,
-    checked_optimizer_spec,
     network_spec_from_config,
     optimizer_spec_from_config,
     prior_and_simulator,
@@ -93,34 +91,33 @@ def build_table(cfg: RunConfig, seed, threads=None) -> ReferenceTable:
     )
 
 
+def _summary_kind(cfg: RunConfig) -> str:
+    return cfg.get_choice("summary", "kind", ("linear", "network"), "network")
+
+
+def check_training_settings(cfg: RunConfig) -> None:
+    """Read the optimizer and network settings that :func:`fit_summary` and
+    :func:`train_chain` read, so a bad or removed key fails before a table
+    is built or a net is fitted."""
+    if _summary_kind(cfg) == "network":
+        optimizer_spec_from_config(cfg, "summary")
+    optimizer_spec_from_config(cfg)
+    network_spec_from_config(cfg)
+
+
 def fit_summary(cfg: RunConfig, table: ReferenceTable, seed):
     """Fit the configured summary map. Returns (summary, losses or None,
     mse on the last 10% of rows). A network summary is fitted on the other
     90%; a linear one on every row, so its mse is in-sample."""
-    kind = cfg.get_str("summary", "kind", "network")
+    kind = _summary_kind(cfg)
     log1p = cfg.get_bool("summary", "log1p_inputs", "false")
     if kind == "linear":
         summary = fit_linear_summary(table, log1p_inputs=log1p)
         return summary, None, holdout_mse(summary, table)
-    if kind != "network":
-        raise ConfigError(
-            f"config key [summary] kind must be linear or network, got {kind!r}"
-        )
-    opt = checked_optimizer_spec(
-        "summary",
-        method_key="optimizer",
-        method=cfg.get_str("summary", "optimizer", "adam"),
-        lr=cfg.get_float("summary", "lr", 1e-3),
-        momentum=cfg.get_float("summary", "momentum", 0.9),
-        epochs=cfg.get_int("summary", "epochs", 200),
-        batch_size=cfg.get_int("summary", "batch_size", 128),
-        lr_schedule="constant",
-        average_tail=0.0,
-    )
     result = fit_posterior_mean_net(
         table,
         RngStream(seed).child("summary"),
-        opt,
+        optimizer_spec_from_config(cfg, "summary"),
         hidden=cfg.get_ints("summary", "hidden", "64,64", minimum=1),
         log1p_inputs=log1p,
     )
@@ -174,11 +171,7 @@ def abc_stage(cfg: RunConfig, simulator, prior):
     describe: a function of ``(y_obs, rng)`` that returns one AbcResult per
     epsilon, in config order, each a threshold of one shared proposal
     pool."""
-    kind = cfg.get_str("abc", "summary", "mean")
-    if kind not in ("mean", "identity"):
-        raise ConfigError(
-            f"config key [abc] summary must be mean or identity, got {kind!r}"
-        )
+    kind = cfg.get_choice("abc", "summary", ("mean", "identity"), "mean")
     epsilons = cfg.get_floats("abc", "epsilons", "2,1,0.5,0.25,0.1")
     budget = cfg.get_int("abc", "budget", 100_000, minimum=1)
     block_size = cfg.get_int("abc", "block_size", 4096, minimum=1)
@@ -204,28 +197,33 @@ FIDUCIAL_HEADERS = {"location": ["theta_1"], "normal-meanvar": ["mu", "sigma_sq"
 
 def fiducial_model(cfg: RunConfig) -> str:
     """``[fiducial] model``, a key of FIDUCIAL_HEADERS."""
-    model = cfg.get_str("fiducial", "model", "location")
-    if model not in FIDUCIAL_HEADERS:
-        raise ConfigError(
-            f"config key [fiducial] model must be location or normal-meanvar, "
-            f"got {model!r}"
-        )
-    return model
+    return cfg.get_choice("fiducial", "model", tuple(FIDUCIAL_HEADERS), "location")
 
 
-def fiducial_stage(cfg: RunConfig, y, rng) -> FiducialResult:
-    """``[fiducial]`` rejection draws for the data row ``y``. The
-    unit-variance location model sees the row through its mean."""
+def fiducial_stage(cfg: RunConfig):
+    """Check the ``[fiducial]`` settings and return the sampler they
+    describe: a function of ``(y, rng)`` that returns the FiducialResult of
+    rejection draws for the data row ``y``. The unit-variance location
+    model sees the row through its mean."""
+    model = fiducial_model(cfg)
     epsilon = cfg.get_float("fiducial", "epsilon", "inf")
-    budget = cfg.get_int("fiducial", "budget", 10_000)
-    y = np.asarray(y, dtype=np.float64)
-    if fiducial_model(cfg) == "location":
-        return fiducial_location(float(np.mean(y)), epsilon, budget, rng)
-    if y.size < 2:
-        raise DataError("normal-meanvar fiducial needs at least 2 observations")
-    return fiducial_normal_meanvar(
-        float(np.mean(y)), float(np.var(y, ddof=1)), y.size, epsilon, budget, rng
-    )
+    budget = cfg.get_int("fiducial", "budget", 10_000, minimum=1)
+    if not epsilon >= 0:
+        raise ConfigError(
+            f"config key [fiducial] epsilon must be a number >= 0 or inf, got {epsilon}"
+        )
+
+    def sample(y, rng):
+        y = np.asarray(y, dtype=np.float64)
+        if model == "location":
+            return fiducial_location(float(np.mean(y)), epsilon, budget, rng)
+        if y.size < 2:
+            raise DataError("normal-meanvar fiducial needs at least 2 observations")
+        return fiducial_normal_meanvar(
+            float(np.mean(y)), float(np.var(y, ddof=1)), y.size, epsilon, budget, rng
+        )
+
+    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +239,6 @@ class NormalBenchmarkResult:
     # Fraction of adjacent tau-grid pairs the raw net quantiles order backwards.
     crossing_rate: float
     failures: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def benchmark_normal(cfg: RunConfig, seed) -> NormalBenchmarkResult:
@@ -262,9 +256,15 @@ def benchmark_normal(cfg: RunConfig, seed) -> NormalBenchmarkResult:
         raise ConfigError("the normal benchmark needs the normal-location simulator")
     if fiducial_model(cfg) != "location":
         raise ConfigError("the normal benchmark needs [fiducial] model = location")
+    fiducial = fiducial_stage(cfg)
+    check_training_settings(cfg)
 
     root = RngStream(seed)
     theta_true = cfg.get_float("benchmark", "theta_true", 3.0)
+    if not abs(theta_true) < np.inf:
+        raise ConfigError(
+            f"config key [benchmark] theta_true must be finite, got {theta_true}"
+        )
     y_obs = simulator.simulate(
         np.array([theta_true]), root.child("y-obs").generator
     )
@@ -341,7 +341,7 @@ def benchmark_normal(cfg: RunConfig, seed) -> NormalBenchmarkResult:
 
     # Fiducial location model on the scalar y = y_bar: closed form N(y_bar, 1).
     y_bar = float(np.mean(y_obs))
-    fid = fiducial_stage(cfg, y_obs, root.child("fiducial"))
+    fid = fiducial(y_obs, root.child("fiducial"))
     fid_draws = fid.thetas[:, 0]
     if fid.n_accepted:
         ks_stat, ks_p = stats.kstest(fid_draws, "norm", args=(y_bar, 1.0))
@@ -391,10 +391,6 @@ class EpidemicBenchmarkResult:
     box_violation_by_coord: np.ndarray  # per theta coordinate (alpha last)
     failures: list
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
 
 def benchmark_epidemic(cfg: RunConfig, seed) -> EpidemicBenchmarkResult:
     """Desk-scale epidemic study: train on quantile trajectories from an LHS
@@ -413,27 +409,32 @@ def benchmark_epidemic(cfg: RunConfig, seed) -> EpidemicBenchmarkResult:
         raise ConfigError(f"[prior] theta: {exc}") from exc
     n_scen = cfg.get_int("benchmark", "scenarios", 100)
     n_reps = cfg.get_int("benchmark", "replicates", 100, minimum=2)
-    n_hold = cfg.get_int("benchmark", "holdouts", 3)
-    n_draws = cfg.get_int("benchmark", "posterior_draws", 300)
-    pred_reps = cfg.get_int("benchmark", "predictive_replicates", 100)
+    n_hold = cfg.get_int("benchmark", "holdouts", 3, minimum=1)
+    n_draws = cfg.get_int("benchmark", "posterior_draws", 300, minimum=1)
+    pred_reps = cfg.get_int("benchmark", "predictive_replicates", 100, minimum=1)
     floor = cfg.get_float("benchmark", "coverage_floor", 0.8)
+    if not 0.0 <= floor <= 1.0:
+        raise ConfigError(
+            f"config key [benchmark] coverage_floor must be in [0, 1], got {floor}"
+        )
     if n_hold >= n_scen:
-        raise ConfigError("need fewer holdouts than scenarios")
+        raise ConfigError(
+            "config key [benchmark] holdouts must be fewer than scenarios"
+        )
+    check_training_settings(cfg)
     probs = np.asarray(EPIDEMIC_QUANTILE_PROBS)
     weeks = simulator.weeks
     root = RngStream(seed)
 
-    # Design and replicate curves, one scenario per block.
+    # Design and replicate curves, each scenario on its own stream, on this
+    # thread: on a 2-vCPU host two threads were no faster (timings in README).
     scenarios = lhs_sample(box, n_scen, root.child("design"))
     quantile_traj = np.empty((n_scen, probs.size, weeks))
-
-    def run_scenario(i):
+    for i in range(n_scen):
         gen = root.child(f"scenario-{i}").generator
         tiled = np.broadcast_to(scenarios[i], (n_reps, 5))
         curves = simulator.simulate_batch(tiled, gen)
         quantile_traj[i] = quantile_index_replicates(curves, probs)
-
-    map_blocks(run_scenario, n_scen, cpu_count())
 
     hold_gen = root.child("holdout").generator
     holdout_ids = sorted(

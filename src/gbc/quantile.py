@@ -130,8 +130,9 @@ def train_iqn(
 
     Conditioning is (summary of y, theta_1..theta_{coordinate-1}); targets
     are theta_coordinate. Every epoch draws a fresh uniform quantile level
-    per row. Returns ``(net, losses)`` with per-epoch mean pinball loss in
-    native target units.
+    per row. Training settles the fit: a stepped rate and a Polyak-averaged
+    tail (see :func:`train_minibatch`). Returns ``(net, losses)`` with
+    per-epoch mean pinball loss in native target units.
     """
     if table.n_rows == 0:
         raise ValueError("cannot train on an empty table")
@@ -184,7 +185,7 @@ def train_iqn(
     losses = train_minibatch(
         [*psi.layers, *phi.layers, *g.layers], opt, n,
         rng.child("train-shuffle").generator, batch_step, "quantile",
-        draw_epoch=lambda gen: gen.uniform(size=n),
+        draw_epoch=lambda gen: gen.uniform(size=n), settle=True,
     )
     return net, losses * t_sd  # pinball scales linearly
 

@@ -117,7 +117,8 @@ def fit_posterior_mean_net(
     table, rng, opt: OptimizerSpec, hidden=(64, 64), log1p_inputs=False
 ) -> SummaryFitResult:
     """Train S(y) ~ E[theta | y] by l2 regression on the reference table,
-    with the training settings ``opt``.
+    with the training settings ``opt`` at a constant rate and no tail
+    average.
 
     The summary dimension equals the parameter dimension (one coordinate per
     theta component). Inputs and targets are z-scored with statistics from

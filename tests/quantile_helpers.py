@@ -7,6 +7,15 @@ and expected-utility code can be checked against exact answers.
 
 import numpy as np
 
+from gbc.rng import RngStream
+
+
+def huge_targets(n, seed):
+    """``n`` finite targets of +-1.5e308 in random order. Their sums
+    overflow, so a net trained on them diverges in its first epoch."""
+    signs = RngStream(seed).generator.uniform(size=n) < 0.5
+    return np.where(signs, -1.5e308, 1.5e308)
+
 
 class AnalyticQuantileStub:
     """Adapter giving a closed-form posterior the quantile-model interface."""

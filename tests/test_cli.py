@@ -116,28 +116,49 @@ def test_missing_config_key_is_config_error(smoke):
                        ("n_obs = 6", "population = 1e5")], "[simulator] population"),
         ("fiducial", [("[prior]", "[fiducial]\nepsilon = loose\n\n[prior]")],
          "[fiducial] epsilon"),
-        ("train", [("kind = linear", "kind = network\noptimizer = adagrad")],
-         "[summary] optimizer"),
         ("train", [("kind = linear", "kind = network\nbatch_size = 0")],
          "[summary] batch_size"),
         ("train", [("kind = linear", "kind = network\nlr = 0")], "[summary] lr"),
         ("train", [("kind = linear", "kind = network\nepochs = 0")],
          "[summary] epochs"),
-        ("train", [("kind = linear", "kind = network\noptimizer = sgd\nmomentum = 1.5")],
-         "[summary] momentum"),
-        ("train", [("[optimizer]", "[optimizer]\nmethod = sgd\nmomentum = 1.5")],
-         "[optimizer] momentum"),
         ("train", [("kind = linear", "kind = network\nhidden = 8,0")],
          "[summary] hidden"),
         ("train", [("psi_hidden = 8", "psi_hidden = 0")], "[network] psi_hidden"),
         ("train", [("feature_dim = 8", "feature_dim = 0")], "[network] feature_dim"),
         ("train", [("n_cos = 4", "n_cos = -3")], "[network] n_cos"),
         ("train", [("g_hidden = 8", "g_hidden = 8,0")], "[network] g_hidden"),
+        ("fiducial", [("[prior]", "[fiducial]\nepsilon = nan\n\n[prior]")],
+         "[fiducial] epsilon"),
+        ("fiducial", [("[prior]", "[fiducial]\nbudget = -5\n\n[prior]")],
+         "[fiducial] budget"),
+        ("gen-table", [("noise_var = 1.0", "noise_var = nan")],
+         "[simulator] noise_var"),
+        ("gen-table", [("= normal-location", "= epidemic"), ("n_obs = 6", "contact = inf")],
+         "[simulator] contact"),
+        ("gen-table", [("normal(0,2)", "normal(nan,2)")], "[prior] theta"),
+        ("gen-table", [("normal(0,2)", "normal(0,inf)")], "[prior] theta"),
+        # Every net trains with Adam on a fixed schedule, so a config that
+        # still chooses an optimizer, momentum or schedule is rejected, even
+        # where its value is what training does anyway.
+        ("train", [("[optimizer]", "[optimizer]\nmethod = adam")], "[optimizer] method"),
+        ("train", [("[optimizer]", "[optimizer]\nmomentum = 0.9")],
+         "[optimizer] momentum"),
+        ("train", [("[optimizer]", "[optimizer]\nlr_schedule = step")],
+         "[optimizer] lr_schedule"),
+        ("train", [("[optimizer]", "[optimizer]\naverage_tail = 0.2")],
+         "[optimizer] average_tail"),
+        ("train", [("kind = linear", "kind = network\noptimizer = adam")],
+         "[summary] optimizer"),
+        ("train", [("kind = linear", "kind = network\nmomentum = 0.9")],
+         "[summary] momentum"),
     ],
-    ids=["integer-population", "fiducial-epsilon", "summary-optimizer",
-         "summary-batch-size", "summary-lr", "summary-epochs", "summary-momentum",
-         "optimizer-momentum", "summary-hidden", "psi-hidden", "feature-dim",
-         "n-cos", "g-hidden"],
+    ids=["integer-population", "fiducial-epsilon", "summary-batch-size",
+         "summary-lr", "summary-epochs", "summary-hidden", "psi-hidden",
+         "feature-dim", "n-cos", "g-hidden", "fiducial-epsilon-nan",
+         "fiducial-budget", "noise-var-nan", "contact-inf", "prior-nan-mean",
+         "prior-inf-variance", "optimizer-method", "optimizer-momentum",
+         "optimizer-lr-schedule", "optimizer-average-tail", "summary-optimizer",
+         "summary-momentum"],
 )
 def test_bad_config_value_is_config_error(smoke, command, edits, key):
     cfg, tmp = smoke
@@ -156,6 +177,32 @@ def test_bad_config_value_is_config_error(smoke, command, edits, key):
     assert "config error" in proc.stderr
     assert key in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [(("[optimizer]", "[optimizer]\nmethod = adam"), "[optimizer] method"),
+     (("[summary]\nkind = linear", "[summary]\nkind = network\nmomentum = 0.9"),
+      "[summary] momentum"),
+     (("psi_hidden = 8", "psi_hidden = 0"), "[network] psi_hidden")],
+    ids=["optimizer-method", "summary-momentum", "psi-hidden"],
+)
+def test_train_checks_its_settings_before_fitting(smoke, monkeypatch, capsys, edit, key):
+    """A bad or removed training key fails before the summary net is fitted,
+    not after it."""
+    cfg, tmp = smoke
+    out = tmp / "out"
+    assert cli.main(["gen-table", "--config", str(cfg), "--out", str(out)]) == 0
+    assert edit[0] in cfg.read_text()
+    cfg.write_text(cfg.read_text().replace(*edit))
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before the settings were checked")
+
+    monkeypatch.setattr(cli, "fit_summary", no_fit)
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
 
 
 @pytest.mark.parametrize(
@@ -481,6 +528,26 @@ def test_command_without_config_is_config_error():
     proc = run_cli("gen-table")
     assert proc.returncode == 2
     assert "--config" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, value", [("sample", "nan"), ("abc", "inf"), ("fiducial", "nan")]
+)
+def test_non_finite_y_obs_is_data_error(smoke, command, value):
+    cfg, tmp = smoke
+    out = tmp / "out"
+    if command == "sample":
+        assert run_cli("gen-table", "--config", str(cfg), "--out", str(out)).returncode == 0
+        assert run_cli("train", "--config", str(cfg), "--out", str(out)).returncode == 0
+    y_obs = tmp / "y.csv"
+    y_obs.write_text(f"0.5,0.5,{value},0.5,0.5,0.5\n")
+    proc = run_cli(
+        command, "--config", str(cfg), "--out", str(out), "--y-obs", str(y_obs)
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "data error" in proc.stderr and str(y_obs) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not list(out.glob("*draws.csv")) and not (out / "samples.csv").exists()
 
 
 def test_y_obs_must_be_single_row(smoke):

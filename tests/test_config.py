@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gbc
-from gbc import cli, pipeline
+from gbc import cli, config, pipeline
 from gbc.config import (
     RunConfig,
     network_spec_from_config,
@@ -34,7 +34,6 @@ noise_var = 10
 n_obs = 100
 
 [optimizer]
-method = adam
 lr = 1e-3
 epochs = 20
 """
@@ -165,24 +164,24 @@ def test_network_spec_defaults_and_overrides():
 def test_optimizer_spec_validation():
     cfg = RunConfig.from_text(SAMPLE)
     spec = optimizer_spec_from_config(cfg)
-    assert spec.method == "adam"
-    assert spec.epochs == 20
-    assert spec.lr_schedule == "step"
-    assert spec.average_tail == 0.2
-    cfg.set("optimizer", "method", "lbfgs")
-    with pytest.raises(ConfigError, match="adam or sgd"):
-        optimizer_spec_from_config(cfg)
-    cfg.set("optimizer", "method", "adam")
-    cfg.set("optimizer", "lr_schedule", "cosine")
-    with pytest.raises(ConfigError, match="lr_schedule"):
-        optimizer_spec_from_config(cfg)
-    cfg.set("optimizer", "lr_schedule", "constant")
+    assert (spec.lr, spec.epochs, spec.batch_size) == (1e-3, 20, 128)
+    # [summary] reads the same keys with its own epoch default.
+    assert optimizer_spec_from_config(cfg, "summary").epochs == 200
+    cfg.set("summary", "epochs", 7)
+    assert optimizer_spec_from_config(cfg, "summary").epochs == 7
+    assert optimizer_spec_from_config(cfg).epochs == 20
     cfg.set("optimizer", "epochs", 0)
-    with pytest.raises(ConfigError, match="positive"):
+    with pytest.raises(ConfigError, match=r"\[optimizer\] epochs.*positive"):
         optimizer_spec_from_config(cfg)
     cfg.set("optimizer", "epochs", 10)
-    cfg.set("optimizer", "average_tail", 2.0)
-    with pytest.raises(ConfigError, match="average_tail"):
+    for lr in ("nan", "inf", "-1e-3"):
+        cfg.set("summary", "lr", lr)
+        with pytest.raises(ConfigError, match=r"\[summary\] lr"):
+            optimizer_spec_from_config(cfg, "summary")
+    cfg.set("optimizer", "lr_schedule", "step")
+    cfg.set("optimizer", "average_tail", 0.2)
+    with pytest.raises(ConfigError, match=r"\[optimizer\] lr_schedule, "
+                       r"\[optimizer\] average_tail"):
         optimizer_spec_from_config(cfg)
 
 
@@ -194,6 +193,24 @@ def test_optimizer_spec_validation():
         ("benchmark_normal", "sampling", "tau_grid", ""),
         ("benchmark_normal", "sampling", "n_draws", "-5"),
         ("benchmark_epidemic", "benchmark", "replicates", "1"),
+        ("benchmark_epidemic", "benchmark", "holdouts", "0"),
+        ("benchmark_epidemic", "benchmark", "holdouts", "-1"),
+        ("benchmark_epidemic", "benchmark", "posterior_draws", "0"),
+        ("benchmark_epidemic", "benchmark", "predictive_replicates", "0"),
+        ("benchmark_epidemic", "benchmark", "coverage_floor", "nan"),
+        ("benchmark_epidemic", "benchmark", "coverage_floor", "1.5"),
+        ("benchmark_normal", "benchmark", "theta_true", "nan"),
+        ("benchmark_normal", "benchmark", "theta_true", "-inf"),
+        ("benchmark_normal", "fiducial", "epsilon", "nan"),
+        ("benchmark_normal", "simulator", "noise_var", "nan"),
+        ("benchmark_normal", "prior", "theta", "normal(nan,5)"),
+        ("benchmark_normal", "prior", "theta", "normal(0,inf)"),
+        ("benchmark_normal", "optimizer", "method", "adam"),
+        ("benchmark_normal", "optimizer", "epochs", "0"),
+        ("benchmark_epidemic", "optimizer", "lr_schedule", "step"),
+        ("benchmark_epidemic", "summary", "momentum", "0.9"),
+        ("benchmark_epidemic", "summary", "lr", "nan"),
+        ("benchmark_epidemic", "network", "psi_hidden", "0"),
     ],
 )
 def test_benchmark_settings_are_checked_before_any_table(
@@ -213,7 +230,9 @@ def test_benchmark_settings_are_checked_before_any_table(
 
 def _config_reads():
     """(section, key) -> the ``file:line`` of every ``cfg.get_*("section",
-    "key", ...)`` call in the package."""
+    "key", ...)`` call in the package. The one reader that takes its section
+    as an argument, ``optimizer_spec_from_config``, counts once for each
+    section it serves."""
     readers = {}
     for path in sorted(Path(gbc.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -224,15 +243,20 @@ def _config_reads():
                 and len(node.args) >= 2
             ):
                 continue
+            site = f"{path.name}:{node.lineno}"
             section, key = node.args[:2]
-            if all(
-                isinstance(a, ast.Constant) and isinstance(a.value, str)
-                for a in (section, key)
-            ):
-                readers.setdefault((section.value, key.value), []).append(
-                    f"{path.name}:{node.lineno}"
+            assert isinstance(key, ast.Constant), f"{site} reads a computed key"
+            if isinstance(section, ast.Constant):
+                sections = [section.value]
+            else:
+                assert path.name == "config.py" and ast.unparse(section) == "section", (
+                    f"{site} reads a computed section"
                 )
+                sections = list(config._DEFAULT_EPOCHS)
+            for name in sections:
+                readers.setdefault((name, key.value), []).append(site)
     assert ("run", "simulator") in readers  # the scan sees the reads
+    assert ("summary", "lr") in readers and ("optimizer", "lr") in readers
     return readers
 
 

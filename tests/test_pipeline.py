@@ -23,6 +23,7 @@ from gbc.formats import fmt_value
 from gbc.quantile import train_iqn
 from gbc.rng import RngStream
 from gbc.summaries import fit_linear_summary
+from quantile_helpers import huge_targets
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -135,8 +136,9 @@ def test_epidemic_benchmark_stays_in_prior_box(monkeypatch):
 
 
 def test_epidemic_benchmark_is_the_same_at_any_cpu_count(monkeypatch):
-    """Scenario and predictive cells fan out over min(cells, CPUs) threads;
-    every posterior draw is made on the calling thread, in (h, j) order."""
+    """Scenarios run in a loop on the calling thread, as does every
+    posterior draw, in (h, j) order; predictive cells fan out over
+    min(cells, CPUs) threads."""
     cfg = _tiny_epidemic_config()
     cfg.set("benchmark", "holdouts", 2)
     sample = quantile.AutoregressiveQuantileModel.sample
@@ -148,12 +150,12 @@ def test_epidemic_benchmark_is_the_same_at_any_cpu_count(monkeypatch):
 
     monkeypatch.setattr(quantile.AutoregressiveQuantileModel, "sample", record_sample)
     results = {}
-    for cpus, pools in ((1, []), (4, [4, 4])):
+    for cpus, pools in ((1, []), (4, [4])):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         calls.clear()
         spy = _PoolSpy(monkeypatch, models, "ThreadPoolExecutor")
         results[cpus] = pipeline.benchmark_epidemic(cfg, 3)
-        assert spy.workers == pools  # 6 scenarios, then 10 predictive cells
+        assert spy.workers == pools  # the 10 predictive cells
         root = RngStream(3)
         assert calls == [
             (threading.get_ident(), root.child(f"sample-{h}-{j}").stream_id)
@@ -246,7 +248,6 @@ def test_benchmark_normal_reports_a_fiducial_run_with_no_acceptances(tmp_path):
     assert fmt_value(result.rows[-1][7]) == "nan"
     assert result.rows[-1][-1] == "no"
     assert "fiducial: no acceptances" in result.failures
-    assert not result.ok
 
 
 def test_benchmark_normal_reports_its_crossing_rate(tmp_path, capsys):
@@ -288,6 +289,19 @@ def _chain_inputs(d, text=CHAIN_CONFIG):
     return RunConfig.from_text(text), table, fit_linear_summary(table)
 
 
+def _diverging_chain_inputs():
+    """``_chain_inputs(3)`` with the last theta column, after the summary is
+    fitted, set to finite values whose sums overflow: nets 0 and 1 train,
+    net 2 diverges."""
+    cfg, table, summary = _chain_inputs(3)
+    thetas = table.thetas.copy()
+    thetas[:, 2] = huge_targets(table.n_rows, seed=52)
+    table = models.ReferenceTable(
+        thetas=thetas, ys=table.ys, seed=table.seed, simulator=table.simulator
+    )
+    return cfg, table, summary
+
+
 def _checkpoint_bytes(ckpt, path):
     save_checkpoint(path, ckpt)
     return path.read_bytes()
@@ -319,11 +333,9 @@ def test_train_chain_matches_a_serial_loop_at_any_worker_count(
 
 
 def test_train_chain_reraises_a_worker_divergence(monkeypatch):
-    # At this lr the last net diverges while the first two train, so the
-    # error comes from a worker after others have returned.
-    cfg, table, summary = _chain_inputs(
-        3, CHAIN_CONFIG + "method = sgd\nlr = 1e12\n"
-    )
+    # The last net diverges while the first two train, so the error comes
+    # from a worker after others have returned.
+    cfg, table, summary = _diverging_chain_inputs()
     net_spec = network_spec_from_config(cfg)
     opt_spec = optimizer_spec_from_config(cfg)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -340,8 +352,7 @@ def test_train_chain_reraises_a_worker_divergence(monkeypatch):
     assert spy.workers == [2]
     assert str(pooled.value) == str(serial.value)
     assert "quantile training" in str(pooled.value)
-    assert pooled.value.epoch is not None
-    assert pooled.value.epoch == serial.value.epoch
+    assert pooled.value.epoch == serial.value.epoch == 0
 
 
 def test_cpu_count_falls_back_without_an_affinity_call(monkeypatch):

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gbc import quantile
+from gbc import nets, quantile
 from gbc.analytic import NormalNormalModel, conjugate_posterior
+from gbc.config import RunConfig, optimizer_spec_from_config
 from gbc.errors import ConfigError, TrainingDivergence
 from gbc.models import ReferenceTable
-from gbc.nets import RELU, gradient_check
+from gbc.nets import RELU, Layer, gradient_check, train_minibatch
 from gbc.quantile import (
     AutoregressiveQuantileModel,
     CosineEmbedding,
@@ -26,6 +27,7 @@ from quantile_helpers import (
     AnalyticQuantileStub,
     FunctionQuantileStub,
     cosine_embed,
+    huge_targets,
     sample_posterior,
 )
 from training_reference import reference_train_minibatch
@@ -145,23 +147,45 @@ def test_pinball_minimized_at_empirical_quantile():
 # ------------------------------------------------------- optimizer schedule
 
 
-def test_lr_schedule_step_drops_twice():
-    spec = OptimizerSpec(lr=1e-3, epochs=100, lr_schedule="step")
-    assert spec.lr_at(0) == 1e-3
-    assert spec.lr_at(49) == 1e-3
-    assert spec.lr_at(50) == pytest.approx(1e-4)
-    assert spec.lr_at(74) == pytest.approx(1e-4)
-    assert spec.lr_at(75) == pytest.approx(1e-5)
-    assert spec.lr_at(99) == pytest.approx(1e-5)
+def _adam_rates(monkeypatch, epochs, settle):
+    """The rate of every Adam step of a ``train_minibatch`` run of
+    ``epochs`` one-batch epochs at lr 1e-3."""
+    rates = []
+    step = nets.Adam.step
+
+    def record(self, flat, grad):
+        rates.append(self.lr)
+        step(self, flat, grad)
+
+    def batch_step(idx, _drawn, grads):
+        for g in grads:
+            g[...] = 1.0
+        return 0.0
+
+    monkeypatch.setattr(nets.Adam, "step", record)
+    layer = Layer(np.zeros((1, 1)), np.zeros(1), "identity")
+    spec = OptimizerSpec(lr=1e-3, epochs=epochs, batch_size=10)
+    train_minibatch([layer], spec, 10, RngStream(1).generator, batch_step, "test",
+                    settle=settle)
+    return rates
 
 
-def test_lr_schedule_constant_and_unknown():
-    spec = OptimizerSpec(lr=0.01, epochs=10, lr_schedule="constant")
-    assert all(spec.lr_at(e) == 0.01 for e in range(10))
-    with pytest.raises(ConfigError, match="schedule"):
-        OptimizerSpec(lr_schedule="warmup")
-    with pytest.raises(ConfigError, match="method"):
-        OptimizerSpec(method="rmsprop")
+def test_lr_schedule_step_drops_twice(monkeypatch):
+    # The quantile nets' settled fit.
+    rates = _adam_rates(monkeypatch, 100, settle=True)
+    assert len(rates) == 100
+    assert rates[0] == rates[49] == 1e-3
+    assert rates[50] == rates[74] == pytest.approx(1e-4)
+    assert rates[75] == rates[99] == pytest.approx(1e-5)
+
+
+def test_lr_schedule_constant_and_unknown(monkeypatch):
+    # The summary net's fit keeps the rate; a config cannot choose another
+    # schedule.
+    assert _adam_rates(monkeypatch, 10, settle=False) == [1e-3] * 10
+    cfg = RunConfig.from_text("[optimizer]\nlr_schedule = warmup\n")
+    with pytest.raises(ConfigError, match=r"\[optimizer\] lr_schedule"):
+        optimizer_spec_from_config(cfg)
 
 
 # ----------------------------------------------------------------- training
@@ -238,8 +262,6 @@ def test_train_iqn_validates_inputs():
     )
     with pytest.raises(ValueError, match="empty"):
         train_iqn(empty, _identity_summary(), 0, _SMALL_SPEC, opt, RngStream(0))
-    with pytest.raises(ConfigError, match="average_tail"):
-        OptimizerSpec(epochs=2, average_tail=1.5)
 
 
 def _iqn_arrays(net):
@@ -255,19 +277,19 @@ def _two_param_table(n_rows, seed):
 
 
 @pytest.mark.parametrize(
-    "method, average_tail, coordinate",
-    [("adam", 0.2, 0), ("sgd", 0.0, 0), ("adam", 0.0, 1), ("sgd", 0.2, 1)],
+    "average_tail, coordinate", [(0.2, 0), (0.0, 1)], ids=["adam-0.2-0", "adam-0.0-1"]
 )
-def test_train_iqn_matches_per_block_reference(monkeypatch, method, average_tail, coordinate):
+def test_train_iqn_matches_per_block_reference(monkeypatch, average_tail, coordinate):
     # Coordinate 0 of a one-parameter table conditions on one value, 256
     # rows in whole batches; coordinate 1 of a two-parameter table
-    # conditions on three, 203 rows with a ragged last batch.
+    # conditions on three, 203 rows with a ragged last batch. The second
+    # case also averages no tail, so the stepped rate alone sets the bytes.
     if coordinate == 0:
         table, summary = _toy_table(256, seed=41), _identity_summary()
     else:
         table, summary = _two_param_table(203, seed=42), _identity_summary(2)
-    opt = OptimizerSpec(method=method, lr=3e-3, epochs=10, batch_size=64,
-                        average_tail=average_tail)
+    monkeypatch.setattr(nets, "SETTLE_TAIL", average_tail)
+    opt = OptimizerSpec(lr=3e-3, epochs=10, batch_size=64)
     net, losses = train_iqn(table, summary, coordinate, _SMALL_SPEC, opt, RngStream(43))
     monkeypatch.setattr(quantile, "train_minibatch", reference_train_minibatch)
     ref, ref_losses = train_iqn(table, summary, coordinate, _SMALL_SPEC, opt, RngStream(43))
@@ -284,11 +306,12 @@ def test_train_iqn_matches_per_block_reference(monkeypatch, method, average_tail
 
 def test_train_iqn_divergence_is_reported_with_epoch():
     table = _toy_table(256, seed=38)
-    opt = OptimizerSpec(method="sgd", lr=1e12, epochs=5)
+    table.thetas[:, 0] = huge_targets(256, seed=38)
+    opt = OptimizerSpec(epochs=5)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDivergence) as err:
             train_iqn(table, _identity_summary(), 0, _SMALL_SPEC, opt, RngStream(39))
-    assert err.value.epoch is not None
+    assert err.value.epoch == 0
 
 
 def test_composite_gradient_matches_finite_differences():

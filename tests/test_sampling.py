@@ -48,7 +48,7 @@ def _chain(table, summary):
 def _chains():
     linear = _table(1, 31)
     network = _table(3, 32)
-    opt = OptimizerSpec(epochs=1, lr_schedule="constant", average_tail=0.0)
+    opt = OptimizerSpec(epochs=1)
     fit = fit_posterior_mean_net(network, RngStream(5), opt)
     return {
         "d1-linear": _chain(linear, fit_linear_summary(linear)),

@@ -13,22 +13,8 @@ trainer looks the loop up.
 
 import numpy as np
 
+from gbc import nets
 from gbc.errors import TrainingDivergence
-
-
-class ReferenceSgdMomentum:
-    def __init__(self, lr, momentum):
-        self.lr = lr
-        self.momentum = momentum
-        self.velocity = None
-
-    def step(self, params, grads):
-        if self.velocity is None:
-            self.velocity = [np.zeros_like(p) for p in params]
-        for p, g, v in zip(params, grads, self.velocity):
-            v *= self.momentum
-            v += g
-            p -= self.lr * v
 
 
 class ReferenceAdam:
@@ -53,19 +39,21 @@ class ReferenceAdam:
 
 
 def reference_train_minibatch(
-    layers, spec, n, gen, batch_step, what, draw_epoch=None
+    layers, spec, n, gen, batch_step, what, draw_epoch=None, settle=False
 ):
     params = [a for lay in layers for a in (lay.weight, lay.bias)]
-    if spec.method == "adam":
-        optimizer = ReferenceAdam(spec.lr)
-    else:
-        optimizer = ReferenceSgdMomentum(spec.lr, spec.momentum)
+    optimizer = ReferenceAdam(spec.lr)
     losses = np.empty(spec.epochs)
-    avg_start = spec.epochs - int(round(spec.average_tail * spec.epochs))
+    tail = nets.SETTLE_TAIL if settle else 0.0
+    avg_start = spec.epochs - int(round(tail * spec.epochs))
     avg_sum = None
     n_avg = 0
     for epoch in range(spec.epochs):
-        optimizer.lr = spec.lr_at(epoch)
+        optimizer.lr = spec.lr
+        if settle and epoch >= 0.75 * spec.epochs:
+            optimizer.lr = spec.lr * 0.01
+        elif settle and epoch >= 0.5 * spec.epochs:
+            optimizer.lr = spec.lr * 0.1
         drawn = draw_epoch(gen) if draw_epoch is not None else None
         perm = gen.permutation(n)
         loss_sum = 0.0
