@@ -69,7 +69,7 @@ def _out_dir(args, cfg: RunConfig) -> Path:
 def _table_path(args, cfg: RunConfig, out: Path) -> Path:
     if getattr(args, "table", None):
         return Path(args.table)
-    fmt = cfg.get_str("run", "table_format", "binary")
+    fmt = cfg.get_choice("run", "table_format", ("binary", "csv"), "binary")
     return out / ("table.csv" if fmt == "csv" else "table.gbct")
 
 
@@ -122,8 +122,8 @@ def _summary_mse_label(summary) -> str:
 
 
 def cmd_gen_table(args, cfg, seed, out) -> int:
-    table = build_table(cfg, seed)
     path = _table_path(args, cfg, out)
+    table = build_table(cfg, seed)
     if path.suffix == ".csv":
         write_table_csv(path, table)
     else:

@@ -102,11 +102,7 @@ class FeedForwardNet:
 
     def parameters(self) -> list[np.ndarray]:
         """Flat list [W0, b0, W1, b1, ...]; views, not copies."""
-        out = []
-        for lay in self.layers:
-            out.append(lay.weight)
-            out.append(lay.bias)
-        return out
+        return _parameter_arrays(self.layers)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out, _ = self.forward_cached(x)

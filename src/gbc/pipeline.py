@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import stats
 
 from .analytic import NormalNormalModel, conjugate_posterior
 from .baselines import (
@@ -249,6 +248,10 @@ def benchmark_normal(cfg: RunConfig, seed) -> NormalBenchmarkResult:
     ``[fiducial]`` location sampler, and scores everything against the
     exact posterior.
     """
+    # Imported here: only this benchmark uses scipy.stats, and importing it
+    # at module level would add its load time and memory to every command.
+    from scipy import stats
+
     prior, simulator = prior_and_simulator(cfg)
     if prior.dim != 1 or not isinstance(prior.coords[0], NormalCoord):
         raise ConfigError("the normal benchmark needs a 1-D normal prior")

@@ -40,7 +40,7 @@ class CosineEmbedding(FeedForwardNet):
         taus = np.asarray(taus, dtype=np.float64)
         if not np.all((taus >= 0.0) & (taus <= 1.0)):
             raise ValueError("quantile levels must lie in [0, 1]")
-        out = np.multiply.outer(taus, np.arange(self.input_dim))  # (B, n_cos)
+        out = np.multiply.outer(taus, np.arange(self.input_dim, dtype=np.float64))
         out *= np.pi
         return np.cos(out, out=out)
 
@@ -86,35 +86,34 @@ class ImplicitQuantileNet:
         (B, c) paired with taus of length B.
 
         Runs in row blocks (``_row_blocks``), so each block's temporaries
-        stay in cache. A shared vector gives every block of one length the
-        same psi input, so psi runs once per distinct block length (at most
-        two) and its output is reused; phi and g run per block. The values
-        are the same bytes as one whole-array pass.
+        stay in cache; phi and g run per block. A shared vector runs psi once
+        per call, on ``min(2, B)`` copies of it, and every block scales by
+        row 0 of that output. The values are the same bytes as one
+        whole-array pass.
         """
         cond = np.asarray(cond, dtype=np.float64)
         taus = np.asarray(taus, dtype=np.float64)
+        n = taus.shape[0]
         shared = cond.ndim == 1
-        if not shared and cond.shape[0] != taus.shape[0]:
+        if shared:
+            copies = np.broadcast_to(cond, (min(2, n), cond.shape[0]))
+            psi_row = self._psi_block(copies)[:1]
+        elif cond.shape[0] != n:
             raise ValueError(
-                f"{cond.shape[0]} conditioning rows for {taus.shape[0]} quantile levels"
+                f"{cond.shape[0]} conditioning rows for {n} quantile levels"
             )
-        out = np.empty(taus.shape[0])
-        psi_by_length = {}
-        for rows in _row_blocks(taus.shape[0]):
-            if shared:
-                n = rows.stop - rows.start
-                if n not in psi_by_length:
-                    block = np.broadcast_to(cond, (n, cond.shape[0]))
-                    psi_by_length[n] = self._psi_block(block)
-                a = psi_by_length[n]
-            else:
-                a = self._psi_block(cond[rows])
-            out[rows] = self.g.forward(a * self.phi.forward(taus[rows]))[:, 0]
+        out = np.empty(n)
+        for rows in _row_blocks(n):
+            h = self.phi.forward(taus[rows])
+            h *= psi_row if shared else self._psi_block(cond[rows])
+            out[rows] = self.g.forward(h)[:, 0]
         return out * self.target_sd + self.target_mean
 
     def _psi_block(self, cond_rows):
-        # A block of several rows, never one row broadcast afterwards: a
-        # one-row product takes BLAS's gemv path, whose bytes differ.
+        # With BLAS at one thread, a row of psi's output has the same bytes
+        # at every position of any product of two or more rows. A one-row
+        # product takes BLAS's gemv path, whose bytes differ, so a shared
+        # vector runs on one row only when the whole call has one level.
         return self.psi.forward((cond_rows - self.cond_mean) / self.cond_sd)
 
 

@@ -151,6 +151,8 @@ def test_missing_config_key_is_config_error(smoke):
          "[summary] optimizer"),
         ("train", [("kind = linear", "kind = network\nmomentum = 0.9")],
          "[summary] momentum"),
+        ("gen-table", [("table_format = csv", "table_format = CSV")],
+         "[run] table_format"),
     ],
     ids=["integer-population", "fiducial-epsilon", "summary-batch-size",
          "summary-lr", "summary-epochs", "summary-hidden", "psi-hidden",
@@ -158,7 +160,7 @@ def test_missing_config_key_is_config_error(smoke):
          "fiducial-budget", "noise-var-nan", "contact-inf", "prior-nan-mean",
          "prior-inf-variance", "optimizer-method", "optimizer-momentum",
          "optimizer-lr-schedule", "optimizer-average-tail", "summary-optimizer",
-         "summary-momentum"],
+         "summary-momentum", "table-format"],
 )
 def test_bad_config_value_is_config_error(smoke, command, edits, key):
     cfg, tmp = smoke

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -116,3 +119,15 @@ def test_every_import_in_the_package_is_used(monkeypatch):
             if name not in loaded and (path.stem, name) not in reads
         ]
     assert not unused, f"imported but unused: {unused}"
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    """Only ``benchmark_normal`` uses scipy.stats; loading it with the CLI
+    would add its import time and memory to every command."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, gbc.cli; print(sorted(sys.modules))"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "'scipy.stats'" not in proc.stdout

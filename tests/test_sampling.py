@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from gbc import quantile
+from gbc import pipeline, quantile
 from gbc.models import ReferenceTable
 from gbc.nets import OptimizerSpec
 from gbc.rng import RngStream
@@ -24,7 +24,13 @@ from sampling_reference import reference_quantile_values, reference_sample
 
 SIZES = [*range(70), 1023, 1024, 1025, 1026, 2047, 2048, 2049, 3000, 3073,
          4999, 5000, 10_000, 12_345]
-CURVE_TAUS = (np.arange(10_000) + 0.5) / 10_000
+# The 10,000-level curve spans many blocks; the default grid and one level
+# are the single-block curves of posterior_quantile_curve and perfbench.
+CURVES = {
+    "curve": (np.arange(10_000) + 0.5) / 10_000,
+    "tau-grid-curve": np.array(pipeline.DEFAULT_TAU_GRID),
+    "one-level-curve": np.array([0.3]),
+}
 PINNED_BLAS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -58,17 +64,16 @@ def _chains():
 
 def _mismatches():
     """Per chain: the sizes whose draws differ from the reference, and
-    whether the d = 1 quantile curve differs."""
+    which d = 1 quantile curves differ."""
     found = {}
     for name, (model, y_obs) in _chains().items():
         bad = [n for n in SIZES
                if model.sample(y_obs, n, RngStream(9)).tobytes()
                != reference_sample(model, y_obs, n, RngStream(9)).tobytes()]
         if model.dim == 1:
-            curve = model.quantile_values(y_obs, CURVE_TAUS)
-            if curve.tobytes() != reference_quantile_values(
-                    model, y_obs, CURVE_TAUS).tobytes():
-                bad.append("curve")
+            bad += [label for label, taus in CURVES.items()
+                    if model.quantile_values(y_obs, taus).tobytes()
+                    != reference_quantile_values(model, y_obs, taus).tobytes()]
         found[name] = bad
     return found
 
@@ -100,8 +105,9 @@ def test_row_blocks_start_at_block_multiples_and_fold_a_one_row_tail():
         assert all(b.stop - b.start > 1 for b in blocks[1:])
 
 
-def test_a_shared_conditioning_vector_runs_psi_once_per_block_length(monkeypatch):
-    # 10,000 rows are nine 1,024-row blocks and a 784-row tail: two lengths.
+def test_a_shared_conditioning_vector_runs_psi_once_per_call(monkeypatch):
+    # 10,000 rows are ten blocks; psi runs once, on two copies of the vector
+    # (one copy only for a single level, as the whole-array pass does).
     model, y_obs = _chains()["d1-linear"]
     psi = model.nets[0].psi
     rows = []
@@ -111,11 +117,15 @@ def test_a_shared_conditioning_vector_runs_psi_once_per_block_length(monkeypatch
         return forward(x)
 
     monkeypatch.setattr(psi, "forward", counted)
-    model.nets[0].quantile_values(model._summary_of(y_obs), np.full(10_000, 0.5))
-    assert rows == [1024, 784]
+    s = model._summary_of(y_obs)
+    model.nets[0].quantile_values(s, np.full(10_000, 0.5))
+    assert rows == [2]
     rows.clear()
     model.sample(y_obs, 10_000, RngStream(9))
-    assert rows == [1024, 784]
+    assert rows == [2]
+    rows.clear()
+    model.nets[0].quantile_values(s, np.full(1, 0.5))
+    assert rows == [1]
 
 
 def test_conditioning_rows_must_match_the_levels():
