@@ -142,8 +142,9 @@ def golden_section(fn, lo, hi, tol=1e-8, max_iter=200):
     ``fn`` maps an array of points shaped like the broadcast of ``lo`` and
     ``hi`` to their values. Each element keeps its own bracket and stops on
     its own once the bracket is no wider than tol, or at the iteration cap;
-    its arithmetic is that of a scalar golden-section search. Returns
-    ``(x, converged)``: arrays, or a float and a bool for scalar bounds.
+    its arithmetic is that of a scalar golden-section search. Returns the
+    arrays ``(x, converged)``, shaped like the broadcast bounds (0-d for
+    scalar bounds).
     """
     a, b = np.broadcast_arrays(
         np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
@@ -174,10 +175,7 @@ def golden_section(fn, lo, hi, tol=1e-8, max_iter=200):
         )
         active &= b - a > tol
         it += 1
-    x, converged = 0.5 * (a + b), (b - a) <= tol
-    if x.ndim == 0:
-        return float(x), bool(converged)
-    return x, converged
+    return 0.5 * (a + b), (b - a) <= tol
 
 
 @dataclass
@@ -205,11 +203,12 @@ def fiducial_rejection(
 
     Per draw: simulate u* from its known law via ``sample_u(gen)``, solve
     theta* = argmin_theta ||y_obs - G(u*, theta)|| inside ``theta_bounds``
-    (golden-section for scalar theta, cyclic coordinate descent of
-    golden-section line searches for vectors), then accept theta* when the
-    attained distance is <= epsilon (epsilon = inf accepts every converged
-    draw). Draws whose inner optimization does not converge are skipped and
-    counted, not raised.
+    by cyclic coordinate descent of golden-section line searches (one
+    sweep, a single line search, for scalar theta), then accept theta* when
+    the attained distance is <= epsilon (epsilon = inf accepts every
+    converged draw). Draws whose line search fails, or that move a
+    coordinate by 10 tol or more in each of ``max_sweeps`` (at least 1)
+    sweeps, are skipped and counted, not raised.
 
     All draws are solved at once. ``sample_u`` returns one draw (a scalar
     or a k-vector) and is called ``budget`` times; the draws are stacked on
@@ -243,42 +242,34 @@ def fiducial_rejection(
 
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
-    every = np.arange(budget)
-    if d == 1:
-        x, ok = golden_section(
-            lambda v: distance(every, v[None, :]),
-            np.full(budget, lo[0]), np.full(budget, hi[0]),
-            tol=tol, max_iter=max_iter,
-        )
-        theta = x[None, :]
-    else:
-        # Cyclic coordinate descent over the draws still in the batch: a
-        # draw leaves it when a sweep moves no coordinate by 10 tol (ok) or
-        # when one of its line searches fails (skipped).
-        theta = np.repeat((0.5 * (lo + hi))[:, None], budget, axis=1)
-        ok = np.zeros(budget, dtype=bool)
-        live = every
-        for _sweep in range(max_sweeps):
-            shift = np.zeros(live.size)
-            for k in range(d):
-                def along(v, _k=k, _live=live):
-                    t = theta[:, _live]
-                    t[_k] = v
-                    return distance(_live, t)
+    # Cyclic coordinate descent over the draws still in the batch. A draw
+    # leaves it ok when a sweep moves no coordinate by 10 tol, or after one
+    # sweep when d = 1 (a second line search would repeat the first), and
+    # skipped when one of its line searches fails.
+    theta = np.repeat((0.5 * (lo + hi))[:, None], budget, axis=1)
+    ok = np.zeros(budget, dtype=bool)
+    live = np.arange(budget)
+    for _sweep in range(max_sweeps):
+        shift = np.zeros(live.size)
+        for k in range(d):
+            def along(v, _k=k, _live=live):
+                t = theta[:, _live]
+                t[_k] = v
+                return distance(_live, t)
 
-                x, conv = golden_section(
-                    along, np.full(live.size, lo[k]), np.full(live.size, hi[k]),
-                    tol=tol, max_iter=max_iter,
-                )
-                step = np.abs(x - theta[k, live])
-                shift = np.where(step > shift, step, shift)
-                theta[k, live[conv]] = x[conv]
-                live, shift = live[conv], shift[conv]
-            done = shift < 10.0 * tol
-            ok[live[done]] = True
-            live = live[~done]
-            if live.size == 0:
-                break
+            x, conv = golden_section(
+                along, np.full(live.size, lo[k]), np.full(live.size, hi[k]),
+                tol=tol, max_iter=max_iter,
+            )
+            step = np.abs(x - theta[k, live])
+            shift = np.where(step > shift, step, shift)
+            theta[k, live[conv]] = x[conv]
+            live, shift = live[conv], shift[conv]
+        done = (shift < 10.0 * tol) | (d == 1)
+        ok[live[done]] = True
+        live = live[~done]
+        if live.size == 0:
+            break
     keep = np.flatnonzero(ok)
     if keep.size:
         keep = keep[distance(keep, theta[:, keep]) <= epsilon]

@@ -23,6 +23,7 @@ for _var in (
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -265,14 +266,14 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _draw_count(text):
-    """argparse type of ``--draws``: an integer >= 0 (else exit 2)."""
+def _count(text, minimum=0):
+    """argparse type of a count flag: an integer >= minimum (else exit 2)."""
     try:
         count = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if count < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more, got {count}")
+    if count < minimum:
+        raise argparse.ArgumentTypeError(f"must be {minimum} or more, got {count}")
     return count
 
 
@@ -311,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--checkpoint", help="model checkpoint (default out/model.gbcq)")
     p.add_argument("--y-obs", help="observed data CSV (single row)")
-    p.add_argument("--draws", type=_draw_count, default=1000, help="number of draws")
+    p.add_argument("--draws", type=_count, default=1000, help="number of draws")
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("abc", help="ABC rejection with an epsilon sweep")
@@ -340,7 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify gradients on random nets")
     p.add_argument("--seed", type=int, default=0, help="random-net seed")
-    p.add_argument("--nets", type=int, default=100, help="number of random nets")
+    p.add_argument(
+        "--nets", type=partial(_count, minimum=1), default=100,
+        help="number of random nets",
+    )
     p.set_defaults(fn=cmd_gradcheck)
 
     return parser

@@ -106,21 +106,21 @@ def check_training_settings(cfg: RunConfig) -> None:
 
 def fit_summary(cfg: RunConfig, table: ReferenceTable, seed):
     """Fit the configured summary map. Returns (summary, losses or None,
-    mse on the last 10% of rows). A network summary is fitted on the other
-    90%; a linear one on every row, so its mse is in-sample."""
-    kind = _summary_kind(cfg)
+    :func:`holdout_mse` on the last 10% of rows). A network summary is
+    fitted on the other 90%; a linear one on every row, so its mse is
+    in-sample."""
     log1p = cfg.get_bool("summary", "log1p_inputs", "false")
-    if kind == "linear":
-        summary = fit_linear_summary(table, log1p_inputs=log1p)
-        return summary, None, holdout_mse(summary, table)
-    result = fit_posterior_mean_net(
-        table,
-        RngStream(seed).child("summary"),
-        optimizer_spec_from_config(cfg, "summary"),
-        hidden=cfg.get_ints("summary", "hidden", "64,64", minimum=1),
-        log1p_inputs=log1p,
-    )
-    return result.summary, result.train_losses, result.holdout_loss
+    if _summary_kind(cfg) == "linear":
+        summary, losses = fit_linear_summary(table, log1p_inputs=log1p), None
+    else:
+        summary, losses = fit_posterior_mean_net(
+            table,
+            RngStream(seed).child("summary"),
+            optimizer_spec_from_config(cfg, "summary"),
+            hidden=cfg.get_ints("summary", "hidden", "64,64", minimum=1),
+            log1p_inputs=log1p,
+        )
+    return summary, losses, holdout_mse(summary, table)
 
 
 def train_chain(cfg: RunConfig, table: ReferenceTable, summary: SummaryMap, seed):
@@ -466,12 +466,13 @@ def benchmark_epidemic(cfg: RunConfig, seed) -> EpidemicBenchmarkResult:
     hi = np.array([r[1] for r in box] + [1.0])
 
     # Posterior draws for every (holdout, level) cell, in order on this
-    # thread; then each cell's predictive bands, one cell per block.
+    # thread, shape (cell, draw, 6); then each cell's predictive bands, one
+    # cell per block.
     cells = [(h, j) for h in holdout_ids for j in range(probs.size)]
-    draws = [
+    draws = np.stack([
         model.sample(quantile_traj[h, j], n_draws, root.child(f"sample-{h}-{j}"))
         for h, j in cells
-    ]
+    ])
 
     def predictive_bands(c):
         """(lower, median, upper) weekly bands of cell c's predictive curves."""
@@ -490,36 +491,25 @@ def benchmark_epidemic(cfg: RunConfig, seed) -> EpidemicBenchmarkResult:
         return tuple(np.quantile(pred, q, axis=0) for q in (0.05, 0.5, 0.95))
 
     bands = map_blocks(predictive_bands, len(cells), cpu_count())
+    # Observed trajectories and bands, each shape (cell, week).
+    lower, median, upper = (np.stack(band) for band in zip(*bands))
+    obs = np.stack([quantile_traj[h, j] for h, j in cells])
+    outside = (draws < lo) | (draws > hi)
+    covered = (obs >= lower) & (obs <= upper)
 
-    holdout_tables = {}
-    coverage_rows = []
-    covered_total = 0
-    cells_total = 0
-    out_of_box = 0
-    out_by_coord = np.zeros(lo.size, dtype=np.int64)
-    draws_total = 0
-    for (h, j), cell_draws, (lower, median, upper) in zip(cells, draws, bands):
-        a, y_obs = probs[j], quantile_traj[h, j]
-        outside = (cell_draws < lo) | (cell_draws > hi)
-        out_of_box += int(np.sum(np.any(outside, axis=1)))
-        out_by_coord += outside.sum(axis=0)
-        draws_total += cell_draws.shape[0]
-        covered = (y_obs >= lower) & (y_obs <= upper)
-        covered_total += int(covered.sum())
-        cells_total += weeks
-        coverage_rows.append(
-            [h, float(a), int(covered.sum()), weeks, float(covered.mean())]
-        )
-        columns = holdout_tables.setdefault(h, {"week": np.arange(1, weeks + 1)})
-        tag = f"q{a:g}"
-        columns[f"obs_{tag}"] = y_obs
-        columns[f"lo_{tag}"] = lower
-        columns[f"med_{tag}"] = median
-        columns[f"hi_{tag}"] = upper
-
-    coverage = covered_total / cells_total
-    box_rate = out_of_box / draws_total if draws_total else 0.0
-    coverage_rows.append(["all", "nan", covered_total, cells_total, coverage])
+    holdout_tables = {h: {"week": np.arange(1, weeks + 1)} for h in holdout_ids}
+    for c, (h, j) in enumerate(cells):
+        tag = f"q{probs[j]:g}"
+        holdout_tables[h].update({
+            f"obs_{tag}": obs[c], f"lo_{tag}": lower[c],
+            f"med_{tag}": median[c], f"hi_{tag}": upper[c],
+        })
+    coverage_rows = [
+        [h, float(probs[j]), int(covered[c].sum()), weeks, float(covered[c].mean())]
+        for c, (h, j) in enumerate(cells)
+    ]
+    coverage = float(covered.mean())
+    coverage_rows.append(["all", "nan", int(covered.sum()), covered.size, coverage])
     failures = []
     if coverage < floor:
         failures.append(
@@ -530,8 +520,8 @@ def benchmark_epidemic(cfg: RunConfig, seed) -> EpidemicBenchmarkResult:
         holdout_tables=holdout_tables,
         coverage_rows=coverage_rows,
         coverage=coverage,
-        box_violation_rate=box_rate,
-        box_violation_by_coord=out_by_coord / max(1, draws_total),
+        box_violation_rate=float(outside.any(axis=2).mean()),
+        box_violation_by_coord=outside.mean(axis=(0, 1)),
         failures=failures,
     )
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gbc import models
+from gbc import baselines, models
 from gbc.analytic import NormalNormalModel, conjugate_posterior
 from gbc.baselines import (
     AbcConfig,
@@ -257,7 +257,7 @@ def test_golden_section_array_matches_scalar_loop():
             assert x[i] == xr and bool(converged[i]) == okr
         assert converged.any() and (max_iter == 200 or not converged.all())
     x, converged = golden_section(lambda v: (v - 2.0) ** 2, 0.0, 5.0)
-    assert type(x) is float and type(converged) is bool
+    assert x.shape == converged.shape == ()  # scalar bounds give 0-d arrays
     assert x == scalar_golden_section(lambda v: (v - 2.0) ** 2, 0.0, 5.0)[0]
 
 
@@ -319,6 +319,32 @@ def test_fiducial_matches_per_draw_reference(problem, options):
     if "max_sweeps" in options:
         assert 0 < batched.n_skipped
         assert 0 < batched.n_accepted < batched.n_draws - batched.n_skipped
+
+
+def test_fiducial_solve_makes_one_line_search_per_coordinate_and_sweep(monkeypatch):
+    # Scalar theta: one sweep of one line search is the whole solve, so
+    # every draw converges in it. A 2-vector: one line search per coordinate
+    # each sweep, and the first sweep, which leaves the midpoint, converges
+    # no draw.
+    sizes = []
+    line_search = baselines.golden_section
+
+    def counted(fn, lo, hi, **kwargs):
+        sizes.append(np.size(lo))
+        return line_search(fn, lo, hi, **kwargs)
+
+    monkeypatch.setattr(baselines, "golden_section", counted)
+    res = baselines.fiducial_location(4.2, np.inf, 300, RngStream(71))
+    assert sizes == [300] and res.n_skipped == 0
+    for max_sweeps in (1, 2):
+        sizes.clear()
+        res = fiducial_rejection(
+            rng=RngStream(71), epsilon=np.inf, budget=60, max_sweeps=max_sweeps,
+            **_meanvar_problem(),
+        )
+        assert len(sizes) == 2 * max_sweeps and sizes[0] == 60
+        if max_sweeps == 1:
+            assert res.n_skipped == 60
 
 
 def test_fiducial_location_model_matches_normal_law():

@@ -513,6 +513,16 @@ def test_bad_draw_count_is_a_usage_error(smoke, draws, why):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "nets, why", [("0", "1 or more"), ("-3", "1 or more"), ("ten", "an integer")]
+)
+def test_bad_net_count_is_a_usage_error(nets, why):
+    proc = run_cli("gradcheck", "--nets", nets)
+    assert proc.returncode == 2
+    assert f"argument --nets: must be {why}" in proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
 def test_gradcheck_passes_and_reports(smoke):
     proc = run_cli("gradcheck", "--nets", "5", "--seed", "3")
     assert proc.returncode == 0

@@ -10,6 +10,7 @@ import types
 from pathlib import Path
 
 import gbc
+from gbc import baselines, pipeline, quantile, rng
 
 PACKAGE = Path(gbc.__file__).parent
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
@@ -82,20 +83,35 @@ def _bound_imports(tree):
                 yield alias.asname or alias.name, node.lineno
 
 
-def _harness_module_reads(monkeypatch):
-    """(module, name) pairs the benchmark harness reads off gbc modules: the
-    ``module.name`` attributes its code loads and the names its tracer
-    looks up on a module to wrap them."""
-    reads = set()
+def _harness_reads(monkeypatch):
+    """(owner, name) of every gbc attribute the benchmark harness reads: the
+    ``module.name`` attributes its code loads off the gbc modules it
+    imports, the names it imports from gbc modules, and the (module or
+    class, name) targets its tracer wraps."""
+    reads = []
     for path in sorted(PERFBENCH.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                reads.add((node.value.id, node.attr))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.module == "gbc":
+                for alias in node.names:
+                    module = importlib.import_module(f"gbc.{alias.name}")
+                    modules[alias.asname or alias.name] = module
+            elif (node.module or "").startswith("gbc."):
+                module = importlib.import_module(node.module)
+                reads += [(module, alias.name) for alias in node.names]
+        reads += [
+            (modules[node.value.id], node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ]
 
     class Recorder:
         def wrap(self, target, name, *args, **kwargs):
-            if isinstance(target, types.ModuleType):
-                reads.add((target.__name__.rpartition(".")[2], name))
+            reads.append((target, name))
 
         count = wrap
 
@@ -104,10 +120,33 @@ def _harness_module_reads(monkeypatch):
     return reads
 
 
+def test_every_name_the_benchmark_harness_reads_exists(monkeypatch):
+    """Deleting or renaming a gbc function, class or method that the
+    harness calls or wraps fails here, not first in a benchmark run."""
+    reads = _harness_reads(monkeypatch)
+    # Each kind of read is seen: a module attribute the workloads call, an
+    # imported name, a traced module function and a traced method.
+    for owner, name in (
+        (pipeline, "fit_summary"),
+        (rng, "RngStream"),
+        (baselines, "golden_section"),
+        (quantile.CosineEmbedding, "basis"),
+    ):
+        assert (owner, name) in reads
+    missing = sorted(
+        f"{owner.__name__}.{name}" for owner, name in reads if not hasattr(owner, name)
+    )
+    assert not missing, f"read by the benchmark harness but not defined: {missing}"
+
+
 def test_every_import_in_the_package_is_used(monkeypatch):
     """A module uses every name it imports, unless the benchmark harness
     reads that name off the module (``pipeline.write_csv``)."""
-    reads = _harness_module_reads(monkeypatch)
+    reads = {
+        (owner.__name__.rpartition(".")[2], name)
+        for owner, name in _harness_reads(monkeypatch)
+        if isinstance(owner, types.ModuleType)
+    }
     assert ("pipeline", "apply_summary") in reads  # the tracer's names are seen
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):

@@ -174,6 +174,52 @@ def test_epidemic_benchmark_is_the_same_at_any_cpu_count(monkeypatch):
             assert np.asarray(want[key]).tobytes() == np.asarray(got[key]).tobytes()
 
 
+def test_epidemic_report_is_recomputed_from_its_parts(monkeypatch):
+    """Each coverage row counts the weeks its holdout table's observed
+    level lies in [lo, hi], and the pooled row sums them; the box violation
+    rates count the posterior draws outside the [prior] box plus [0, 1]."""
+    cfg = _tiny_epidemic_config()
+    cfg.set("benchmark", "holdouts", 2)
+    sample = quantile.AutoregressiveQuantileModel.sample
+    draws = []
+
+    def record_sample(self, y_obs, n, rng):
+        out = sample(self, y_obs, n, rng)
+        draws.append(out.copy())
+        return out
+
+    monkeypatch.setattr(quantile.AutoregressiveQuantileModel, "sample", record_sample)
+    result = pipeline.benchmark_epidemic(cfg, 3)
+
+    rows = []
+    for h in result.holdout_ids:
+        cols = result.holdout_tables[h]
+        for a in models.EPIDEMIC_QUANTILE_PROBS:
+            obs = cols[f"obs_q{a:g}"]
+            covered = (obs >= cols[f"lo_q{a:g}"]) & (obs <= cols[f"hi_q{a:g}"])
+            rows.append(
+                [h, float(a), int(covered.sum()), len(obs), float(covered.mean())]
+            )
+    hits, weeks = sum(r[2] for r in rows), sum(r[3] for r in rows)
+    rows.append(["all", "nan", hits, weeks, hits / weeks])
+    assert result.coverage_rows == rows
+    assert [list(map(type, r)) for r in result.coverage_rows] == [
+        list(map(type, r)) for r in rows
+    ]
+    assert result.coverage == hits / weeks
+
+    box = [(c.lo, c.hi) for c in prior_from_config(cfg).coords] + [(0.0, 1.0)]
+    lo, hi = np.array(box).T
+    pooled = np.concatenate(draws)
+    assert len(draws) == 2 * len(models.EPIDEMIC_QUANTILE_PROBS)
+    outside = (pooled < lo) | (pooled > hi)
+    rate = int(np.any(outside, axis=1).sum()) / len(pooled)
+    assert type(result.box_violation_rate) is float
+    assert result.box_violation_rate == rate
+    by_coord = outside.sum(axis=0) / len(pooled)
+    assert result.box_violation_by_coord.tobytes() == by_coord.tobytes()
+
+
 def test_epidemic_benchmark_rejects_prior_outside_simulator_range():
     cfg = RunConfig.from_file(CONFIG_DIR / "epidemic.ini")
     cfg.set("prior", "theta", NARROW_PRIOR.replace("uniform(2,4)", "uniform(0.5,4)"))

@@ -55,10 +55,10 @@ def _chains():
     linear = _table(1, 31)
     network = _table(3, 32)
     opt = OptimizerSpec(epochs=1)
-    fit = fit_posterior_mean_net(network, RngStream(5), opt)
+    summary, _ = fit_posterior_mean_net(network, RngStream(5), opt)
     return {
         "d1-linear": _chain(linear, fit_linear_summary(linear)),
-        "d3-network": _chain(network, fit.summary),
+        "d3-network": _chain(network, summary),
     }
 
 
