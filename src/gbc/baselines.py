@@ -223,6 +223,8 @@ def fiducial_rejection(
     for lo, hi in bounds:
         if not lo < hi:
             raise ValueError(f"empty theta bound [{lo}, {hi}]")
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
     d = len(bounds)
     budget = int(budget)
     if budget < 1:

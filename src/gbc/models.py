@@ -144,14 +144,18 @@ class NormalLocationSimulator:
         return ys
 
 
-def _epidemic_weeks(thetas, pop, weeks, gen, contact):
-    """Vectorized chain-binomial over B parameter rows, one week at a time.
+def _epidemic_weeks(thetas, pop, weeks, gen, contact, replicates=1):
+    """Vectorized chain-binomial over B parameter rows, R = ``replicates``
+    runs of each, one week at a time.
 
-    Yields the (B,) int64 cumulative count of each week in turn. The array
-    is updated in place when the next week is drawn, so a consumer that
-    keeps it must copy it.
+    Yields the (B, R) int64 cumulative counts of each week in turn. The
+    per-row constants are (B, 1) columns, so a row's R runs share them;
+    the binomial draws see the same (n, p) values, in the same C order, as
+    a (B*R,)-row run of ``np.repeat(thetas, R, axis=0)``. The array is
+    updated in place when the next week is drawn, so a consumer that keeps
+    it must copy it.
     """
-    t1, t2, t3, t4, t5 = (thetas[:, k] for k in range(5))
+    t1, t2, t3, t4, t5 = (thetas[:, k : k + 1] for k in range(5))
     contact_eff = contact * (1.0 - 0.5 * t5 / 8e-5)
     intervene_week = np.ceil(t3)
     # log(1 - t1_eff) before and after the intervention; each week picks one.
@@ -160,10 +164,11 @@ def _epidemic_weeks(thetas, pop, weeks, gen, contact):
     # ceil keeps the curve's starting value at or above theta2 even when
     # theta2 is not a whole number.
     init = np.minimum(np.ceil(t2), pop).astype(np.int64)
-    susceptible = pop - init
-    active = init.copy()
-    cum = init.copy()
-    p_inf = np.empty(thetas.shape[0])
+    shape = (thetas.shape[0], replicates)
+    susceptible = np.broadcast_to(pop - init, shape).copy()
+    active = np.broadcast_to(init, shape).copy()
+    cum = active.copy()
+    p_inf = np.empty(shape)
     for week in range(1, weeks + 1):
         log_keep = np.where(week >= intervene_week, log_keep_after, log_keep_before)
         # Infection probability per susceptible this week, one minus the
@@ -180,12 +185,14 @@ def _epidemic_weeks(thetas, pop, weeks, gen, contact):
         yield cum
 
 
-def _epidemic_batch(thetas, pop, weeks, gen, contact):
-    """The (B, weeks) cumulative curves of :func:`_epidemic_weeks`."""
-    curves = np.empty((thetas.shape[0], weeks), dtype=np.float64)
-    for week, cum in enumerate(_epidemic_weeks(thetas, pop, weeks, gen, contact)):
-        curves[:, week] = cum
-    return curves
+def _epidemic_batch(thetas, pop, weeks, gen, contact, replicates=1):
+    """The (B*R, weeks) cumulative curves of :func:`_epidemic_weeks`; row
+    b*R + r is replicate r of parameter row b."""
+    curves = np.empty((thetas.shape[0], replicates, weeks), dtype=np.float64)
+    weekly = _epidemic_weeks(thetas, pop, weeks, gen, contact, replicates)
+    for week, cum in enumerate(weekly):
+        curves[:, :, week] = cum
+    return curves.reshape(-1, weeks)
 
 
 class EpidemicSimulator:
@@ -220,17 +227,24 @@ class EpidemicSimulator:
     def y_dim(self):
         return self.weeks
 
-    def simulate_batch(self, thetas, gen):
+    def simulate_batch(self, thetas, gen, replicates=1):
+        """The (B*R, weeks) curves of R = ``replicates`` runs of each row
+        (see :func:`_epidemic_batch`)."""
         thetas = np.asarray(thetas, dtype=np.float64)
         self.validate(thetas)
-        return _epidemic_batch(thetas, self.population, self.weeks, gen, self.contact)
+        return _epidemic_batch(
+            thetas, self.population, self.weeks, gen, self.contact, replicates
+        )
 
-    def simulate_weeks(self, thetas, gen):
-        """Validate ``thetas``, then stream each week's (B,) cumulative
-        counts of one run of them (see :func:`_epidemic_weeks`)."""
+    def simulate_weeks(self, thetas, gen, replicates=1):
+        """Validate ``thetas``, then stream each week's (B, R) cumulative
+        counts of R = ``replicates`` runs of each row (see
+        :func:`_epidemic_weeks`)."""
         thetas = np.asarray(thetas, dtype=np.float64)
         self.validate(thetas)
-        return _epidemic_weeks(thetas, self.population, self.weeks, gen, self.contact)
+        return _epidemic_weeks(
+            thetas, self.population, self.weeks, gen, self.contact, replicates
+        )
 
     def validate(self, thetas):
         """Raise ValueError unless every row is a 5-parameter scenario inside

@@ -111,7 +111,11 @@ class FeedForwardNet:
     def forward_cached(self, x):
         """Forward pass keeping what backward needs.
 
-        Returns ``(out, cache)``; pass the cache to :meth:`backward`.
+        Returns ``(out, cache)``; pass the cache to :meth:`backward`. The
+        cache is ``(records, squeeze)`` with ``records[i] = (input, output)``
+        of layer i. Each layer holds one array: ReLU is applied in place to
+        its pre-activation, and a hidden layer's output is the next layer's
+        input.
         """
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
@@ -124,8 +128,10 @@ class FeedForwardNet:
         for lay in self.layers:
             z = h @ lay.weight
             z += lay.bias
+            if lay.activation == RELU:
+                np.maximum(z, 0.0, out=z)
             records.append((h, z))
-            h = np.maximum(z, 0.0) if lay.activation == RELU else z
+            h = z
         out = h[0] if squeeze else h
         return out, (records, squeeze)
 
@@ -149,13 +155,14 @@ class FeedForwardNet:
             grads = [np.empty_like(p) for p in self.parameters()]
         last = len(self.layers) - 1
         for i in range(last, -1, -1):
-            inp, z = records[i]
+            inp, out = records[i]
             lay = self.layers[i]
+            # A ReLU output is > 0 exactly where its pre-activation is.
             if lay.activation == RELU:
                 if i == last:
-                    g = g * (z > 0.0)  # the caller's array
+                    g = g * (out > 0.0)  # the caller's array
                 else:
-                    g *= z > 0.0
+                    g *= out > 0.0
             np.matmul(inp.T, g, out=grads[2 * i])
             g.sum(axis=0, out=grads[2 * i + 1])
             if i == 0 and not input_grad:
@@ -213,8 +220,8 @@ def _preactivation_margin(net, x):
     """Smallest |pre-activation| over the ReLU layers at input x."""
     _, (records, _) = net.forward_cached(x)
     return min(
-        (float(np.min(np.abs(z)))
-         for lay, (_, z) in zip(net.layers, records) if lay.activation == RELU),
+        (float(np.min(np.abs(inp @ lay.weight + lay.bias)))
+         for lay, (inp, _) in zip(net.layers, records) if lay.activation == RELU),
         default=np.inf,
     )
 

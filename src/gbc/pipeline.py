@@ -435,8 +435,7 @@ def benchmark_epidemic(cfg: RunConfig, seed) -> EpidemicBenchmarkResult:
     quantile_traj = np.empty((n_scen, probs.size, weeks))
     for i in range(n_scen):
         gen = root.child(f"scenario-{i}").generator
-        tiled = np.broadcast_to(scenarios[i], (n_reps, 5))
-        curves = simulator.simulate_batch(tiled, gen)
+        curves = simulator.simulate_batch(scenarios[i : i + 1], gen, replicates=n_reps)
         quantile_traj[i] = quantile_index_replicates(curves, probs)
 
     hold_gen = root.child("holdout").generator
@@ -479,15 +478,15 @@ def benchmark_epidemic(cfg: RunConfig, seed) -> EpidemicBenchmarkResult:
         h, j = cells[c]
         clipped = np.clip(draws[c], lo, hi)
         # pred_reps replicate epidemics per draw, all in one simulator run;
-        # each week, pred[t] takes the level clipped[t, 5] of draw t's
-        # replicates.
-        tiled = np.repeat(clipped[:, :5], pred_reps, axis=0)
+        # each week, pred[t] takes the level clipped[t, 5] of row t of the
+        # (draws, replicates) counts.
         pred_gen = root.child(f"predict-{h}-{j}").generator
         pred = np.empty((n_draws, weeks))
-        weekly = simulator.simulate_weeks(tiled, pred_gen)
+        weekly = simulator.simulate_weeks(
+            clipped[:, :5], pred_gen, replicates=pred_reps
+        )
         for week, cum in enumerate(weekly):
-            reps = np.sort(cum.reshape(n_draws, pred_reps), axis=1)
-            pred[:, week] = _row_quantile(reps, clipped[:, 5])
+            pred[:, week] = _row_quantile(np.sort(cum, axis=1), clipped[:, 5])
         return tuple(np.quantile(pred, q, axis=0) for q in (0.05, 0.5, 0.95))
 
     bands = map_blocks(predictive_bands, len(cells), cpu_count())

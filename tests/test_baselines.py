@@ -347,6 +347,15 @@ def test_fiducial_solve_makes_one_line_search_per_coordinate_and_sweep(monkeypat
             assert res.n_skipped == 60
 
 
+def test_fiducial_rejects_fewer_than_one_sweep():
+    for max_sweeps in (0, -1):
+        with pytest.raises(ValueError, match="max_sweeps"):
+            fiducial_rejection(
+                rng=RngStream(71), epsilon=np.inf, budget=60,
+                max_sweeps=max_sweeps, **_meanvar_problem(),
+            )
+
+
 def test_fiducial_location_model_matches_normal_law():
     # G(u, theta) = theta + u with one observation: the solve is exact
     # (theta* = y - u), every draw is accepted at epsilon = inf, and the

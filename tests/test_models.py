@@ -120,6 +120,28 @@ def test_epidemic_batch_matches_the_week_by_week_reference():
     assert want[:, -1].max() > 10 * want[:, 0].max()  # the epidemics grow
 
 
+@pytest.mark.parametrize("rows, replicates", [(3, 1), (3, 4), (1, 100)],
+                         ids=["3x1", "3x4", "scenario-1x100"])
+def test_epidemic_replicate_grid_matches_the_tiled_reference(rows, replicates):
+    # R runs of each of B rows on one (B, R) grid draw what B*R rows of
+    # np.repeat-tiled parameters draw, row b*R + r being run r of row b.
+    gen = RngStream(16).generator
+    lows = np.array([r[0] for r in EPIDEMIC_RANGES])
+    highs = np.array([r[1] for r in EPIDEMIC_RANGES])
+    thetas = lows + (highs - lows) * gen.uniform(size=(rows, 5))
+    got = _epidemic_batch(thetas, 100_000, 56, RngStream(17).generator, 0.5,
+                          replicates=replicates)
+    tiled = np.repeat(thetas, replicates, axis=0)
+    want = _reference_epidemic_batch(tiled, 100_000, 56, RngStream(17).generator, 0.5)
+    assert got.shape == (rows * replicates, 56)
+    assert got.tobytes() == want.tobytes()
+    sim = EpidemicSimulator(population=100_000, weeks=56)
+    weekly = [cum.copy() for cum in
+              sim.simulate_weeks(thetas, RngStream(17).generator, replicates)]
+    assert weekly[0].shape == (rows, replicates)
+    assert np.array_equal(np.stack(weekly, axis=-1).reshape(-1, 56), want)
+
+
 def test_epidemic_strict_range_check():
     with pytest.raises(ValueError, match="theta1"):
         _simulate_epidemic([1e-6, 5, 4, 0.5, 5e-5], pop=1000, weeks=5, rng=RngStream(0))

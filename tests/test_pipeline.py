@@ -117,13 +117,13 @@ def test_epidemic_benchmark_stays_in_prior_box(monkeypatch):
     simulate_batch = models.EpidemicSimulator.simulate_batch
     simulate_weeks = models.EpidemicSimulator.simulate_weeks
 
-    def record_design(self, thetas, gen):
+    def record_design(self, thetas, gen, replicates=1):
         design.append(np.array(thetas))
-        return simulate_batch(self, thetas, gen)
+        return simulate_batch(self, thetas, gen, replicates)
 
-    def record_predictive(self, thetas, gen):
+    def record_predictive(self, thetas, gen, replicates=1):
         predictive.append(np.array(thetas))
-        return simulate_weeks(self, thetas, gen)
+        return simulate_weeks(self, thetas, gen, replicates)
 
     monkeypatch.setattr(models.EpidemicSimulator, "simulate_batch", record_design)
     monkeypatch.setattr(models.EpidemicSimulator, "simulate_weeks", record_predictive)
