@@ -1,9 +1,10 @@
 """Binary model checkpoints.
 
 Layout (all little-endian): magic "GBCQ", format version, provenance
-(reference-table seed and config hash), the summary map, then one block per
-quantile net (dims, weights, standardization statistics). Arrays are raw
-float64, so load(save(x)) reproduces every parameter bit-exactly.
+(reference-table seed and config hash), the summary map, then one block for
+each of one or more quantile nets (dims, weights, standardization
+statistics). Arrays are raw float64, so load(save(x)) reproduces every
+parameter bit-exactly. A checkpoint with no quantile net is a data error.
 """
 
 from __future__ import annotations
@@ -138,6 +139,8 @@ def load_checkpoint(path) -> Checkpoint:
         config_hash = r.raw(32)
         summary = _read_summary(r)
         (n_nets,) = r.unpack("I")
+        if n_nets == 0:
+            raise DataError(f"{r.path}: the checkpoint holds no quantile nets")
         nets = []
         for k in range(n_nets):
             psi = _read_net(r)

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: gen-table, fit-summary, train, sample, abc, fiducial,
-benchmark-normal, benchmark-epidemic, gradcheck. Every command is a pure
-function of its config file and inputs: identical invocations write
-byte-identical outputs. Exit codes: 0 success, 2 config error, 3 data
-error, 4 benchmark/acceptance failure.
+Subcommands: gen-table, train, sample, abc, fiducial, benchmark-normal,
+benchmark-epidemic, gradcheck. Every command is a pure function of its
+config file and inputs: identical invocations write byte-identical
+outputs. Exit codes: 0 success, 2 config error, 3 data error, 4
+benchmark/acceptance failure.
 """
 
 from __future__ import annotations
@@ -28,16 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import RunConfig, prior_and_simulator
+from .checkpoint import load_checkpoint, save_checkpoint
+from .config import RunConfig, prior_and_simulator, reject_removed_keys
 from .errors import ConfigError, DataError, GbcError
 from .formats import fmt_value, read_csv, write_csv
-from .models import (
-    read_table_binary,
-    read_table_csv,
-    write_table_binary,
-    write_table_csv,
-)
+from .models import read_table_binary, write_table_binary
 from .nets import run_gradient_check
 from .pipeline import (
     COVERAGE_HEADER,
@@ -68,18 +63,8 @@ def _out_dir(args, cfg: RunConfig) -> Path:
 
 
 def _table_path(args, cfg: RunConfig, out: Path) -> Path:
-    if getattr(args, "table", None):
-        return Path(args.table)
-    fmt = cfg.get_choice("run", "table_format", ("binary", "csv"), "binary")
-    return out / ("table.csv" if fmt == "csv" else "table.gbct")
-
-
-def _read_table(path: Path):
-    if not path.exists():
-        raise DataError(f"reference table not found: {path}")
-    if path.suffix == ".csv":
-        return read_table_csv(path)
-    return read_table_binary(path)
+    reject_removed_keys(cfg, "run")
+    return Path(args.table or out / "table.gbct")
 
 
 def _read_y_obs(args, size=None) -> np.ndarray:
@@ -102,11 +87,6 @@ def _read_y_obs(args, size=None) -> np.ndarray:
     return data[0]
 
 
-def _write_summary_losses(out: Path, losses) -> None:
-    if losses is not None:
-        write_csv(out / "summary_loss.csv", ["epoch", "mse"], enumerate(losses))
-
-
 def _verdict(result, passed) -> int:
     """Print a benchmark's failures and return its exit code."""
     for line in result.failures:
@@ -117,52 +97,35 @@ def _verdict(result, passed) -> int:
     return 0
 
 
-def _summary_mse_label(summary) -> str:
-    # A linear summary is fitted on every row, so its error is in-sample.
-    return "in-sample mse" if summary.kind == "linear" else "holdout mse"
-
-
 def cmd_gen_table(args, cfg, seed, out) -> int:
     path = _table_path(args, cfg, out)
     table = build_table(cfg, seed)
-    if path.suffix == ".csv":
-        write_table_csv(path, table)
-    else:
-        write_table_binary(path, table)
+    write_table_binary(path, table)
     print(f"wrote {table.n_rows} rows to {path}")
-    return 0
-
-
-def cmd_fit_summary(args, cfg, seed, out) -> int:
-    table = _read_table(_table_path(args, cfg, out))
-    summary, losses, mse = fit_summary(cfg, table, seed)
-    ckpt = Checkpoint(
-        summary=summary, nets=[], table_seed=table.seed,
-        config_hash=cfg.config_hash(),
-    )
-    path = out / "summary.gbcq"
-    save_checkpoint(path, ckpt)
-    _write_summary_losses(out, losses)
-    print(f"wrote summary checkpoint to {path}")
-    print(f"{_summary_mse_label(summary)}: {fmt_value(mse)}")
     return 0
 
 
 def cmd_train(args, cfg, seed, out) -> int:
     check_training_settings(cfg)
-    table = _read_table(_table_path(args, cfg, out))
+    table_path = _table_path(args, cfg, out)
+    if not table_path.exists():
+        raise DataError(f"reference table not found: {table_path}")
+    table = read_table_binary(table_path)
     summary, summary_losses, mse = fit_summary(cfg, table, seed)
     ckpt, traces = train_chain(cfg, table, summary, seed)
     path = out / "model.gbcq"
     save_checkpoint(path, ckpt)
-    _write_summary_losses(out, summary_losses)
+    if summary_losses is not None:
+        write_csv(out / "summary_loss.csv", ["epoch", "mse"], enumerate(summary_losses))
     write_csv(
         out / "loss_trace.csv",
         ["epoch"] + [f"pinball_{k}" for k in range(traces.shape[1])],
         [[i, *traces[i]] for i in range(traces.shape[0])],
     )
     print(f"wrote model checkpoint to {path}")
-    print(f"summary {_summary_mse_label(summary)}: {fmt_value(mse)}")
+    # A linear summary is fitted on every row, so its error is in-sample.
+    label = "in-sample mse" if summary.kind == "linear" else "holdout mse"
+    print(f"summary {label}: {fmt_value(mse)}")
     print(
         "final pinball losses: "
         + ", ".join(fmt_value(v) for v in traces[-1])
@@ -175,8 +138,6 @@ def cmd_sample(args, cfg, seed, out) -> int:
     if not ckpt_path.exists():
         raise DataError(f"checkpoint not found: {ckpt_path}")
     ckpt = load_checkpoint(ckpt_path)
-    if not ckpt.nets:
-        raise DataError(f"{ckpt_path} holds only a summary map, not a trained chain")
     y_obs = _read_y_obs(args, ckpt.summary.in_dim)
     model = ckpt.model()
     draws = model.sample(y_obs, args.draws, RngStream(seed).child("sample"))
@@ -295,17 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-table", help="simulate a reference table")
     common(p)
-    p.add_argument("--table", help="output table path (overrides config)")
+    p.add_argument("--table", help="output table path (default out/table.gbct)")
     p.set_defaults(fn=cmd_gen_table)
-
-    p = sub.add_parser("fit-summary", help="fit the summary statistic map")
-    common(p)
-    p.add_argument("--table", help="reference table path")
-    p.set_defaults(fn=cmd_fit_summary)
 
     p = sub.add_parser("train", help="fit summary and train the quantile chain")
     common(p)
-    p.add_argument("--table", help="reference table path")
+    p.add_argument("--table", help="reference table path (default out/table.gbct)")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("sample", help="draw from a trained posterior")

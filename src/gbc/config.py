@@ -235,12 +235,24 @@ def network_spec_from_config(cfg: RunConfig) -> NetworkSpec:
 # Each training section's default epochs; lr and batch_size default alike.
 _DEFAULT_EPOCHS = {"optimizer": 300, "summary": 200}
 
-# Keys that chose an optimizer, its momentum or its schedule: every net trains
-# with Adam on a fixed schedule, so a config that sets one is rejected.
+# Keys no longer read, by section, each with the reason. A config that sets
+# one is rejected where its section is read.
+_ADAM_ONLY = "every net trains with Adam on a fixed schedule"
 _REMOVED_KEYS = {
-    "optimizer": ("method", "momentum", "lr_schedule", "average_tail"),
-    "summary": ("optimizer", "momentum"),
+    "optimizer": (("method", "momentum", "lr_schedule", "average_tail"), _ADAM_ONLY),
+    "summary": (("optimizer", "momentum"), _ADAM_ONLY),
+    "run": (("table_format",), "reference tables are written only as .gbct"),
 }
+
+
+def reject_removed_keys(cfg: RunConfig, section) -> None:
+    """Raise ConfigError naming every removed key that ``section`` sets."""
+    keys, reason = _REMOVED_KEYS[section]
+    removed = [f"[{section}] {key}" for key in keys if cfg.has(section, key)]
+    if removed:
+        raise ConfigError(
+            f"config key {', '.join(removed)} is no longer read: {reason}; remove it"
+        )
 
 
 def optimizer_spec_from_config(cfg: RunConfig, section="optimizer") -> OptimizerSpec:
@@ -248,13 +260,7 @@ def optimizer_spec_from_config(cfg: RunConfig, section="optimizer") -> Optimizer
     ``[summary]`` (a network summary): ``lr``, ``epochs`` and
     ``batch_size``. A rejected or removed key raises ConfigError naming
     its section and key."""
-    removed = [f"[{section}] {key}" for key in _REMOVED_KEYS[section]
-               if cfg.has(section, key)]
-    if removed:
-        raise ConfigError(
-            f"config key {', '.join(removed)} is no longer read: every net "
-            "trains with Adam on a fixed schedule; remove it"
-        )
+    reject_removed_keys(cfg, section)
     settings = dict(
         lr=cfg.get_float(section, "lr", 1e-3),
         epochs=cfg.get_int(section, "epochs", _DEFAULT_EPOCHS[section]),

@@ -14,9 +14,7 @@ bytes left in the file before anything is allocated for it, so a corrupt
 length ends in DataError, never in a huge allocation.
 
 CSV files print floats to 17 significant digits, which is lossless for
-float64. A CSV file that cannot be read or parsed raises DataError. CSV
-tables are parsed ``CSV_BLOCK_LINES`` lines at a time into arrays sized from
-the header, after the header's promise is checked against the file size.
+float64. A CSV file that cannot be read or parsed raises DataError.
 """
 
 from __future__ import annotations
@@ -24,8 +22,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from contextlib import contextmanager
-from itertools import accumulate, islice
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,11 +32,6 @@ from .errors import DataError
 # 3 MB at 100 float64 columns, so per-block overhead is negligible and no
 # temporary grows with the table.
 ROW_BLOCK = 4096
-
-# Lines per block of CSV table parsing. A block's text is held while it is
-# parsed, and at 100 values a line is about 2 KB of text against 800 bytes
-# of float64, so CSV blocks are much shorter than ROW_BLOCK.
-CSV_BLOCK_LINES = 256
 
 
 def _side_by_side(widths) -> list:
@@ -183,55 +175,14 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(fmt_value(v) for v in row) + "\n")
 
 
-@contextmanager
-def open_csv(path):
-    """The CSV file ``path`` open for reading. Inside the block, an OSError
-    raises DataError "cannot read" and a ValueError "cannot parse"."""
+def read_csv(path):
+    """Every line of a CSV file as a 2-D float64 array. A file that cannot
+    be read raises DataError "cannot read", one that cannot be parsed
+    "cannot parse"."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            yield fh
+            return np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise DataError(f"cannot parse {path}: {exc}") from exc
-
-
-def read_csv(path):
-    """Every line of a CSV file as a 2-D float64 array."""
-    with open_csv(path) as fh:
-        return np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
-
-
-def read_csv_rows(fh, path, n_rows, *widths) -> list:
-    """The rest of the open CSV file ``fh``: ``n_rows`` lines of
-    ``sum(widths)`` values, split by column into one ``(n_rows, width)``
-    array per width and parsed CSV_BLOCK_LINES lines at a time; blank lines
-    are skipped. A value takes at least 2 bytes, so a promise of more values
-    than that many bytes of ``path`` raises DataError before anything is
-    allocated, as do too many or too few rows and a row of another width.
-    Call it inside :func:`open_csv`, which turns a parse failure into
-    DataError."""
-    width = sum(widths)
-    size = os.fstat(fh.fileno()).st_size
-    if min(n_rows, *widths) < 0 or 2 * n_rows * width > size:
-        raise DataError(
-            f"{path} promises {n_rows}x{width} values, more than its {size} bytes hold"
-        )
-    outs = [np.empty((n_rows, w)) for w in widths]
-    row = 0
-    for lines in iter(lambda: list(islice(fh, CSV_BLOCK_LINES)), []):
-        lines = [line for line in lines if line.strip()]
-        if not lines:
-            continue
-        block = np.loadtxt(lines, delimiter=",", ndmin=2, dtype=np.float64)
-        stop = row + block.shape[0]
-        if block.shape[1] != width:
-            raise DataError(f"{path} has rows of {block.shape[1]} values, not {width}")
-        if stop > n_rows:
-            raise DataError(f"{path} promises {n_rows} rows, found more")
-        for out, cols in zip(outs, _side_by_side(widths)):
-            out[row:stop] = block[:, cols]
-        row = stop
-    if row != n_rows:
-        raise DataError(f"{path} promises {n_rows} rows, found {row}")
-    return outs

@@ -10,9 +10,7 @@ the epidemic benchmark's predictive cells all run through it, each block on
 its own stream and writing only its own rows.
 
 Tables are written, read and checked for finiteness in blocks of
-``formats.ROW_BLOCK`` rows, and CSV tables are parsed in blocks of
-``formats.CSV_BLOCK_LINES`` lines, so no stage holds a second copy of a
-table.
+``formats.ROW_BLOCK`` rows, so no stage holds a second copy of a table.
 """
 
 from __future__ import annotations
@@ -20,19 +18,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .formats import (
-    ROW_BLOCK,
-    BinaryReader,
-    BinaryWriter,
-    open_csv,
-    read_csv_rows,
-    write_csv,
-)
+from .formats import ROW_BLOCK, BinaryReader, BinaryWriter
 from .quantile import checked_tau_grid
 
 # Parameter box for the epidemic scenario coordinates theta1..theta5:
@@ -416,38 +406,13 @@ def quantile_index_replicates(curves, probs=EPIDEMIC_QUANTILE_PROBS):
 
 
 # ---------------------------------------------------------------------------
-# Persistence. CSV: one metadata header line "N,d,n,seed,simulator", then one
-# line per row with the theta coordinates followed by the y coordinates,
-# parsed CSV_BLOCK_LINES lines at a time into the table's own arrays.
-# Binary: magic "GBCT", version, u32 N, d, n, u64 seed, u16-prefixed UTF-8
-# simulator name, then the rows as a float64 row-major payload. The payload
-# is written and read ROW_BLOCK rows at a time, straight from and into the
-# table's own theta and y arrays.
+# Persistence: magic "GBCT", version, u32 N, d, n, u64 seed, u16-prefixed
+# UTF-8 simulator name, then the rows as a float64 row-major payload. The
+# payload is written and read ROW_BLOCK rows at a time, straight from and into
+# the table's own theta and y arrays.
 
 _GBCT_MAGIC = b"GBCT"
 _GBCT_VERSION = 1
-
-
-def write_table_csv(path, table: ReferenceTable) -> None:
-    write_csv(
-        path,
-        [table.n_rows, table.theta_dim, table.y_dim, table.seed, table.simulator],
-        (chain(t, y) for t, y in zip(table.thetas, table.ys)),
-    )
-
-
-def read_table_csv(path) -> ReferenceTable:
-    with open_csv(path) as fh:
-        header = fh.readline().strip().split(",")
-        *dims, simulator = header
-        try:
-            n_rows, d, n, seed = map(int, dims)
-        except ValueError as exc:
-            raise DataError(
-                f"malformed table header in {path}: {','.join(header)!r}"
-            ) from exc
-        thetas, ys = read_csv_rows(fh, path, n_rows, d, n)
-    return ReferenceTable(thetas=thetas, ys=ys, seed=seed, simulator=simulator)
 
 
 def write_table_binary(path, table: ReferenceTable) -> None:

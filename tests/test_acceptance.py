@@ -256,7 +256,6 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
 seed = 11
 simulator = normal-location
 table_rows = 2000
-table_format = binary
 
 [simulator]
 noise_var = 10.0

@@ -181,9 +181,22 @@ def test_network_summary_statistics_must_fit_its_net(tmp_path):
         output_sd=np.ones(3),
     )
     path = tmp_path / "bad-summary.gbcq"
-    save_checkpoint(path, Checkpoint(summary=summary, nets=[], table_seed=1))
+    net = _make_net(rng.child("n"), cond_dim=2)
+    save_checkpoint(path, Checkpoint(summary=summary, nets=[net], table_seed=1))
     with pytest.raises(DataError, match="statistics for 4 and 3"):
         load_checkpoint(path)
+
+
+def test_checkpoint_without_quantile_nets_is_data_error(tmp_path):
+    """The writer still encodes a net count of zero; the loader refuses it,
+    naming the file, because such a checkpoint holds no posterior."""
+    ckpt = _linear_checkpoint()
+    ckpt.nets = []
+    path = tmp_path / "summary-only.gbcq"
+    save_checkpoint(path, ckpt)
+    with pytest.raises(DataError, match="no quantile nets") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
 
 
 def test_bad_magic_is_structured_error(tmp_path):

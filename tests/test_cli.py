@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, artifacts, reproducibility."""
 
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 
 from gbc import cli
 from gbc.checkpoint import Checkpoint, save_checkpoint
-from gbc.models import NormalLocationSimulator, read_table_csv
+from gbc.models import NormalLocationSimulator, read_table_binary
 from gbc.nets import FeedForwardNet
 from gbc.quantile import CosineEmbedding, ImplicitQuantileNet
 from gbc.rng import RngStream
@@ -21,7 +23,6 @@ SMOKE_CONFIG = """\
 seed = 5
 simulator = normal-location
 table_rows = 60
-table_format = csv
 
 [simulator]
 noise_var = 1.0
@@ -68,7 +69,7 @@ def test_gen_table_writes_readable_table(smoke):
     proc = run_cli("gen-table", "--config", str(cfg), "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert "wrote 60 rows" in proc.stdout
-    table = read_table_csv(out / "table.csv")
+    table = read_table_binary(out / "table.gbct")
     assert table.n_rows == 60
     assert table.seed == 5
     assert table.simulator == "normal-location"
@@ -79,7 +80,7 @@ def test_gen_table_reruns_are_byte_identical(smoke):
     a, b = tmp / "a", tmp / "b"
     assert run_cli("gen-table", "--config", str(cfg), "--out", str(a)).returncode == 0
     assert run_cli("gen-table", "--config", str(cfg), "--out", str(b)).returncode == 0
-    assert (a / "table.csv").read_bytes() == (b / "table.csv").read_bytes()
+    assert (a / "table.gbct").read_bytes() == (b / "table.gbct").read_bytes()
 
 
 def test_seed_override_changes_the_table(smoke):
@@ -87,7 +88,7 @@ def test_seed_override_changes_the_table(smoke):
     a, b = tmp / "a", tmp / "b"
     run_cli("gen-table", "--config", str(cfg), "--out", str(a), "--seed", "1")
     run_cli("gen-table", "--config", str(cfg), "--out", str(b), "--seed", "2")
-    assert (a / "table.csv").read_bytes() != (b / "table.csv").read_bytes()
+    assert (a / "table.gbct").read_bytes() != (b / "table.gbct").read_bytes()
 
 
 def test_unknown_simulator_is_config_error(smoke):
@@ -151,7 +152,9 @@ def test_missing_config_key_is_config_error(smoke):
          "[summary] optimizer"),
         ("train", [("kind = linear", "kind = network\nmomentum = 0.9")],
          "[summary] momentum"),
-        ("gen-table", [("table_format = csv", "table_format = CSV")],
+        # A reference table is always .gbct, so any table_format is rejected,
+        # the value the shipped configs used to pin included.
+        ("gen-table", [("table_rows = 60", "table_rows = 60\ntable_format = binary")],
          "[run] table_format"),
     ],
     ids=["integer-population", "fiducial-epsilon", "summary-batch-size",
@@ -233,17 +236,38 @@ def test_missing_table_is_data_error(smoke):
 
 
 @pytest.mark.parametrize(
-    "bad_row", ["7,8,9,10,11,12,x", "7,8,9,10,11,12"], ids=["non-numeric", "ragged"]
+    "command, value", [("gen-table", "csv"), ("train", "binary"), ("train", "csv")]
 )
-def test_malformed_csv_table_is_data_error(smoke, bad_row):
+def test_table_format_is_rejected_before_a_table_is_built_or_read(
+    smoke, monkeypatch, capsys, command, value
+):
     cfg, tmp = smoke
-    table = tmp / "bad.csv"
-    table.write_text("2,1,6,5,normal-location\n0,1,2,3,4,5,6\n" + bad_row + "\n")
+    out = tmp / "out"
+    assert cli.main(["gen-table", "--config", str(cfg), "--out", str(out)]) == 0
+    cfg.write_text(cfg.read_text().replace(
+        "table_rows = 60", f"table_rows = 60\ntable_format = {value}"))
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("touched a table before the config was checked")
+
+    monkeypatch.setattr(cli, "build_table", no_table)
+    monkeypatch.setattr(cli, "read_table_binary", no_table)
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "[run] table_format" in err
+
+
+def test_old_csv_table_is_data_error(smoke):
+    """A table in the CSV layout earlier versions could write is not a
+    ``.gbct`` file: ``train`` rejects it by its magic, with no traceback."""
+    cfg, tmp = smoke
+    table = tmp / "old.csv"
+    table.write_text("2,1,6,5,normal-location\n0,1,2,3,4,5,6\n7,8,9,10,11,12,13\n")
     proc = run_cli(
         "train", "--config", str(cfg), "--out", str(tmp / "out"), "--table", str(table)
     )
     assert proc.returncode == 3, proc.stderr
-    assert "data error" in proc.stderr and "cannot parse" in proc.stderr
+    assert f"data error: {table} is not a reference table file (bad magic)" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -298,19 +322,26 @@ def test_sample_zero_draws_writes_header_only(smoke):
     assert (out / "samples.csv").read_text() == "theta_1\n"
 
 
-def test_sample_rejects_summary_only_checkpoint(smoke):
+def test_sample_rejects_zero_net_checkpoint(smoke):
+    """A checkpoint holding a summary map but no quantile net is not a
+    trained chain: loading it is a data error that names the file."""
     cfg, tmp = smoke
-    out = tmp / "out"
-    run_cli("gen-table", "--config", str(cfg), "--out", str(out))
-    assert run_cli("fit-summary", "--config", str(cfg), "--out", str(out)).returncode == 0
+    summary = SummaryMap(
+        kind="linear", matrix=np.full((1, 6), 1 / 6), intercept=np.zeros(1)
+    )
+    path = tmp / "summary.gbcq"
+    save_checkpoint(path, Checkpoint(summary=summary, nets=[], table_seed=5))
     y_obs = tmp / "y.csv"
     y_obs.write_text(",".join(["0.0"] * 6) + "\n")
     proc = run_cli(
-        "sample", "--config", str(cfg), "--out", str(out),
-        "--checkpoint", str(out / "summary.gbcq"), "--y-obs", str(y_obs),
+        "sample", "--config", str(cfg), "--out", str(tmp / "out"),
+        "--checkpoint", str(path), "--y-obs", str(y_obs),
     )
-    assert proc.returncode == 3
-    assert "summary map" in proc.stderr
+    assert proc.returncode == 3, proc.stderr
+    assert "data error" in proc.stderr and str(path) in proc.stderr
+    assert "no quantile nets" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp / "out" / "samples.csv").exists()
 
 
 def test_abc_smoke_writes_sweep_and_draws(smoke):
@@ -635,6 +666,16 @@ def test_linear_summary_error_is_labelled_in_sample(smoke):
     assert proc.returncode == 0, proc.stderr
     assert "summary in-sample mse: " in proc.stdout
     assert "holdout" not in proc.stdout
-    proc = run_cli("fit-summary", "--config", str(cfg), "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    assert "in-sample mse: " in proc.stdout
+
+
+def test_documented_subcommands_match_the_parser():
+    """README's subcommand table and the cli module docstring list exactly
+    the subcommands ``build_parser`` accepts."""
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    commands = set(sub.choices)
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = re.search(r"^\| Subcommand \|.*?\n\n", readme, re.M | re.S).group(0)
+    assert set(re.findall(r"^\| `([a-z-]+)` \|", table, re.M)) == commands
+    listed = re.search(r"Subcommands: (.*?)\.", cli.__doc__, re.S).group(1)
+    assert {name.strip() for name in listed.split(",")} == commands

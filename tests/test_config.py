@@ -288,8 +288,7 @@ def test_readme_documents_every_config_key():
 # it down to a toy run. The keys stay; only their values shrink.
 SHIPPED_RUNS = {
     "normal.ini": (
-        ["gen-table", "fit-summary", "train", "sample", "abc", "fiducial",
-         "benchmark-normal"],
+        ["gen-table", "train", "sample", "abc", "fiducial", "benchmark-normal"],
         {("run", "table_rows"): 200, ("optimizer", "epochs"): 2,
          ("sampling", "n_draws"): 100, ("abc", "budget"): 2000,
          ("fiducial", "budget"): 50},

@@ -1,5 +1,5 @@
-"""Artifact codec: row-block table I/O, block-wise CSV table parsing, and
-every corrupt byte of a table or checkpoint is a DataError."""
+"""Artifact codec: row-block table I/O, and every corrupt byte of a table
+or checkpoint is a DataError."""
 
 import struct
 import tracemalloc
@@ -10,13 +10,7 @@ import pytest
 from gbc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from gbc.errors import DataError
 from gbc.formats import ROW_BLOCK
-from gbc.models import (
-    ReferenceTable,
-    read_table_binary,
-    read_table_csv,
-    write_table_binary,
-    write_table_csv,
-)
+from gbc.models import ReferenceTable, read_table_binary, write_table_binary
 from gbc.nets import FeedForwardNet
 from gbc.quantile import CosineEmbedding, ImplicitQuantileNet
 from gbc.rng import RngStream
@@ -186,41 +180,3 @@ def test_table_io_holds_no_second_copy_of_the_table(tmp_path):
     assert _same_bits(back.ys, table.ys)
     assert write_peak <= 2 * block_bytes, (write_peak, block_bytes)
     assert read_peak <= table_bytes + 2 * block_bytes, (read_peak, table_bytes)
-
-
-def test_csv_table_read_holds_no_second_copy_of_the_table(tmp_path):
-    """Reading a CSV table allocates the table's own arrays and one block of
-    lines and their parsed values. Measured as tracemalloc's peak."""
-    table = _table(5_000, 1, 100, seed=18)
-    table_bytes = table.thetas.nbytes + table.ys.nbytes
-    path = tmp_path / "table.csv"
-    write_table_csv(path, table)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        back = read_table_csv(path)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert _same_bits(back.thetas, table.thetas) and _same_bits(back.ys, table.ys)
-    assert peak <= 1.5 * table_bytes, (peak, table_bytes)
-
-
-@pytest.mark.parametrize(
-    "promised", [5, 7, 2**40], ids=["over-long", "short", "oversized-header"]
-)
-def test_csv_table_rows_must_match_the_header(tmp_path, promised):
-    # A header promising more values than the file's bytes can hold is
-    # rejected before the table's arrays are allocated.
-    path = tmp_path / "table.csv"
-    write_table_csv(path, _table(6, 2, 3, seed=19))
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text(f"{promised},2,3,19,normal-location\n" + "".join(lines[1:]))
-    tracemalloc.start()
-    try:
-        with pytest.raises(DataError, match="promises"):
-            read_table_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 1024

@@ -17,9 +17,7 @@ from gbc.models import (
     make_simulator,
     quantile_index_replicates,
     read_table_binary,
-    read_table_csv,
     write_table_binary,
-    write_table_csv,
 )
 from gbc.rng import RngStream
 
@@ -288,17 +286,6 @@ def _small_table():
     return generate_reference_table(prior, TwoParamSim(), 37, RngStream(21))
 
 
-def test_csv_round_trip_is_lossless(tmp_path):
-    table = _small_table()
-    path = tmp_path / "table.csv"
-    write_table_csv(path, table)
-    back = read_table_csv(path)
-    assert np.array_equal(back.thetas, table.thetas)
-    assert np.array_equal(back.ys, table.ys)
-    assert back.seed == table.seed
-    assert back.simulator == table.simulator
-
-
 def test_binary_round_trip_is_lossless(tmp_path):
     table = _small_table()
     path = tmp_path / "table.gbct"
@@ -345,16 +332,6 @@ def test_binary_truncated_prefixes_are_data_errors(tmp_path):
         cut.write_bytes(blob[:size])
         with pytest.raises(DataError):
             read_table_binary(cut)
-
-
-def test_csv_truncated_payload_detected(tmp_path):
-    table = _small_table()
-    path = tmp_path / "trunc.csv"
-    write_table_csv(path, table)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-3]) + "\n")
-    with pytest.raises(DataError):
-        read_table_csv(path)
 
 
 def test_prior_spec_box_and_describe():
