@@ -593,6 +593,28 @@ def test_non_finite_y_obs_is_data_error(smoke, command, value):
     assert not list(out.glob("*draws.csv")) and not (out / "samples.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("0.5,0.5,x,0.5,0.5,0.5\n", "cannot parse"),
+     ("0.5,0.5,0.5\n0.5,0.5\n", "cannot parse"),
+     (None, "cannot read")],
+    ids=["non-numeric", "ragged", "missing"],
+)
+def test_malformed_y_obs_is_data_error(smoke, text, message):
+    """The ``--y-obs`` reader is the one CSV reader left: a file it cannot
+    read or parse is a data error that names the file."""
+    cfg, tmp = smoke
+    y_obs = tmp / "y.csv"
+    if text is not None:
+        y_obs.write_text(text)
+    proc = run_cli(
+        "abc", "--config", str(cfg), "--out", str(tmp / "out"), "--y-obs", str(y_obs)
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert f"data error: {message} {y_obs}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_y_obs_must_be_single_row(smoke):
     cfg, tmp = smoke
     out = tmp / "out"
