@@ -4,7 +4,7 @@ Layout (all little-endian): magic "GBCQ", format version, provenance
 (reference-table seed and config hash), the summary map, then one block for
 each of one or more quantile nets (dims, weights, standardization
 statistics). Arrays are raw float64, so load(save(x)) reproduces every
-parameter bit-exactly. A checkpoint with no quantile net is a data error.
+parameter bit-exactly. A checkpoint with no quantile net is refused.
 """
 
 from __future__ import annotations
@@ -64,9 +64,10 @@ def _read_net(r: BinaryReader) -> FeedForwardNet:
 def _write_summary(w: BinaryWriter, s: SummaryMap):
     w.pack("BB", s.kind == "network", bool(s.log1p_inputs))
     if s.kind == "linear":
-        w.pack("II", *s.matrix.shape)
-        w.array(s.matrix)
-        w.array(s.intercept)
+        (layer,) = s.net.layers
+        w.pack("II", *layer.weight.T.shape)
+        w.array(layer.weight.T)
+        w.array(layer.bias)
     else:
         _write_net(w, s.net)
         w.pack("I", s.input_mean.shape[0])
@@ -113,6 +114,8 @@ def _read_summary(r: BinaryReader) -> SummaryMap:
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     if len(ckpt.config_hash) != 32:
         raise ValueError("config hash must be 32 bytes")
+    if not ckpt.nets:
+        raise ValueError("a checkpoint needs at least one quantile net")
     with open(path, "wb") as fh:
         w = BinaryWriter(fh, MAGIC, VERSION)
         w.pack("Q", int(ckpt.table_seed))

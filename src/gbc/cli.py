@@ -99,6 +99,8 @@ def _verdict(result, passed) -> int:
 
 def cmd_gen_table(args, cfg, seed, out) -> int:
     path = _table_path(args, cfg, out)
+    if path.suffix.lower() == ".csv":
+        raise ConfigError(f"--table {path}: gen-table writes a .gbct table, not CSV")
     table = build_table(cfg, seed)
     write_table_binary(path, table)
     print(f"wrote {table.n_rows} rows to {path}")

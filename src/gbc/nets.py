@@ -10,10 +10,10 @@ Training runs on one flat parameter buffer. :func:`flatten_parameters`
 copies every ``weight`` and ``bias`` of the trained layers into one
 contiguous float64 vector and rebinds them as reshaped views of it, so the
 nets keep their usual shape-wise arrays while each minibatch step costs one
-Adam update, one finiteness check and, in the averaged tail, one Polyak add
-on the whole vector. The gradients of a step live in one matching flat
-vector: ``backward`` writes each layer's gradients straight into its
-reshaped views, so a step neither allocates nor copies them.
+Adam update and one finiteness check on the whole vector, and each epoch of
+the averaged tail one Polyak add. The gradients of a step live in one
+matching flat vector: ``backward`` writes each layer's gradients straight
+into its reshaped views, so a step neither allocates nor copies them.
 ``FeedForwardNet`` is the one dense layer stack with a backward pass; the
 quantile nets' cosine embedding is a one-layer subclass.
 

@@ -3,17 +3,19 @@
 Two fits are offered: a deep posterior-mean regression (train a small net to
 predict theta from y; its output is the k = d dimensional summary) and a
 ridge-regularized linear least-squares map. Both produce a
-:class:`SummaryMap`, which is a frozen, deterministic function of y once
-fitted and is embedded verbatim in model checkpoints.
+:class:`SummaryMap`, a net on y that is frozen once fitted and embedded
+verbatim in model checkpoints. A linear map is one identity layer with no
+standardization statistics: it is fit on raw y, and a unit z-score would
+only copy every input row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .nets import FeedForwardNet, OptimizerSpec, train_minibatch
+from .nets import IDENTITY, FeedForwardNet, Layer, OptimizerSpec, train_minibatch
 
 RIDGE = 1e-8
 
@@ -22,60 +24,56 @@ RIDGE = 1e-8
 class SummaryMap:
     """A fitted map from raw data vectors to k summary coordinates.
 
-    kind "linear": s = B y' + intercept. kind "network": s is the output of
-    a feed-forward net on the standardized y'. In both cases y' is y after
-    the optional log(1 + count) input transform, and network outputs are
-    de-standardized back to native theta units (the net is trained on
-    z-scored targets).
+    s is ``net`` on y' (y after the optional log(1 + count) transform),
+    z-scored on the way in and out where the map has statistics: a
+    "network" map has both, a "linear" one none. A linear map is built from
+    ``matrix`` B (k, n) and ``intercept`` (k,) as the identity layer
+    s = y' @ B.T + intercept. ``kind`` labels the fit in checkpoints and
+    reports.
     """
 
     kind: str
     log1p_inputs: bool = False
-    # linear fields
-    matrix: np.ndarray | None = None  # (k, n)
-    intercept: np.ndarray | None = None  # (k,)
-    # network fields
     net: FeedForwardNet | None = None
     input_mean: np.ndarray | None = None  # (n,)
     input_sd: np.ndarray | None = None  # (n,)
     output_mean: np.ndarray | None = None  # (k,)
     output_sd: np.ndarray | None = None  # (k,)
+    matrix: InitVar[np.ndarray | None] = None  # (k, n)
+    intercept: InitVar[np.ndarray | None] = None  # (k,)
 
-    def __post_init__(self):
+    def __post_init__(self, matrix, intercept):
         if self.kind not in ("linear", "network"):
             raise ValueError(f"unknown summary kind {self.kind!r}")
+        if self.kind == "linear":
+            layer = Layer(np.transpose(matrix), intercept, IDENTITY)
+            self.net = FeedForwardNet([layer])
 
     @property
     def out_dim(self) -> int:
-        if self.kind == "linear":
-            return self.matrix.shape[0]
         return self.net.output_dim
 
     @property
     def in_dim(self) -> int:
-        if self.kind == "linear":
-            return self.matrix.shape[1]
         return self.net.input_dim
 
 
 def apply_summary(summary: SummaryMap, y) -> np.ndarray:
     """Evaluate a fitted summary on one vector (n,) or a batch (B, n)."""
     y = np.asarray(y, dtype=np.float64)
-    squeeze = y.ndim == 1
-    yy = y.reshape(1, -1) if squeeze else y
-    if yy.shape[1] != summary.in_dim:
+    if y.shape[-1] != summary.in_dim:
         raise ValueError(
-            f"data dimension {yy.shape[1]} does not match summary input "
+            f"data dimension {y.shape[-1]} does not match summary input "
             f"dimension {summary.in_dim}"
         )
     if summary.log1p_inputs:
-        yy = np.log1p(yy)
-    if summary.kind == "linear":
-        out = yy @ summary.matrix.T + summary.intercept
-    else:
-        z = (yy - summary.input_mean) / summary.input_sd
-        out = summary.net.forward(z) * summary.output_sd + summary.output_mean
-    return out[0] if squeeze else out
+        y = np.log1p(y)
+    if summary.input_mean is not None:
+        y = (y - summary.input_mean) / summary.input_sd
+    out = summary.net.forward(y)
+    if summary.output_mean is not None:
+        out = out * summary.output_sd + summary.output_mean
+    return out
 
 
 def mean_summary(n) -> SummaryMap:
@@ -153,23 +151,18 @@ def fit_posterior_mean_net(
     )
 
     summary = SummaryMap(
-        kind="network",
-        log1p_inputs=log1p_inputs,
-        net=net,
-        input_mean=x_mean,
-        input_sd=x_sd,
-        output_mean=t_mean,
-        output_sd=t_sd,
+        kind="network", log1p_inputs=log1p_inputs, net=net,
+        input_mean=x_mean, input_sd=x_sd, output_mean=t_mean, output_sd=t_sd,
     )
     return summary, losses
 
 
-def fit_linear_summary(table, ridge=RIDGE, log1p_inputs=False) -> SummaryMap:
+def fit_linear_summary(table, log1p_inputs=False) -> SummaryMap:
     """Closed-form least squares of theta on y, one row of B per coordinate.
 
     Solves the normal equations with an intercept column and a small ridge
-    term on the slopes (never on the intercept), so rank-deficient designs
-    are handled without special-casing.
+    term ``RIDGE`` on the slopes (never on the intercept), so rank-deficient
+    designs are handled without special-casing.
     """
     if table.n_rows == 0:
         raise ValueError("cannot fit a summary on an empty table")
@@ -177,7 +170,7 @@ def fit_linear_summary(table, ridge=RIDGE, log1p_inputs=False) -> SummaryMap:
     n = ys.shape[1]
     design = np.hstack([ys, np.ones((table.n_rows, 1))])
     gram = design.T @ design
-    gram[np.arange(n), np.arange(n)] += ridge
+    gram[np.arange(n), np.arange(n)] += RIDGE
     rhs = design.T @ table.thetas
     coef = np.linalg.solve(gram, rhs)  # (n + 1, d)
     return SummaryMap(

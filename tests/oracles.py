@@ -3,8 +3,8 @@
 Kept only as test oracles: the normal CDF and the conjugate posterior's
 distribution functions and draws, the distortion view of conjugate updating,
 the prior-quantile representation of the posterior, the pinball loss,
-quantile-based expected utility, and the re-verification of ABC results by
-regenerating their proposal blocks.
+quantile-based expected utility, the re-verification of ABC results by
+regenerating their proposal blocks, and the linear summary formula.
 
 The distortion view: the posterior survival function equals a probability
 distortion g applied to the prior survival function, with
@@ -19,6 +19,18 @@ from scipy.special import ndtr, ndtri
 from gbc.analytic import conjugate_posterior, normal_quantile
 from gbc.quantile import posterior_quantile_curve
 from gbc.summaries import apply_summary
+
+
+def linear_summary(matrix, intercept, y, log1p_inputs=False):
+    """``y' @ matrix.T + intercept`` with y' = log1p(y) when asked, on one
+    vector (n,) as a one-row batch or on a batch (B, n): the formula a
+    linear :class:`gbc.summaries.SummaryMap` evaluates."""
+    y = np.asarray(y, dtype=np.float64)
+    yy = y.reshape(1, -1) if y.ndim == 1 else y
+    if log1p_inputs:
+        yy = np.log1p(yy)
+    out = yy @ np.asarray(matrix).T + intercept
+    return out[0] if y.ndim == 1 else out
 
 
 def normal_cdf(x):

@@ -7,7 +7,20 @@ and expected-utility code can be checked against exact answers.
 
 import numpy as np
 
+from gbc import checkpoint
+from gbc.formats import BinaryWriter
 from gbc.rng import RngStream
+
+
+def write_netless_checkpoint(path, summary, table_seed=0):
+    """A ``.gbcq`` file holding ``summary`` and a quantile-net count of
+    zero: the file ``save_checkpoint`` refuses to write."""
+    with open(path, "wb") as fh:
+        w = BinaryWriter(fh, checkpoint.MAGIC, checkpoint.VERSION)
+        w.pack("Q", table_seed)
+        w.raw(bytes(32))
+        checkpoint._write_summary(w, summary)
+        w.pack("I", 0)
 
 
 def huge_targets(n, seed):

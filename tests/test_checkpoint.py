@@ -1,5 +1,6 @@
 """Model checkpoint serialization: bit-exact round trips, corruption errors."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from gbc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from gbc.errors import DataError
 from gbc.models import ReferenceTable
-from gbc.nets import FeedForwardNet
+from gbc.nets import IDENTITY, FeedForwardNet
 from gbc.quantile import (
     CosineEmbedding,
     ImplicitQuantileNet,
@@ -18,6 +19,7 @@ from gbc.quantile import (
 )
 from gbc.rng import RngStream
 from gbc.summaries import SummaryMap
+from quantile_helpers import write_netless_checkpoint
 
 
 def _make_net(rng, cond_dim=3):
@@ -56,8 +58,12 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert back.table_seed == 77
     assert back.config_hash == bytes(range(32))
     assert back.summary.kind == "linear"
-    assert np.array_equal(back.summary.matrix, ckpt.summary.matrix)
-    assert np.array_equal(back.summary.intercept, ckpt.summary.intercept)
+    assert back.summary.input_mean is None and back.summary.output_mean is None
+    (want,) = ckpt.summary.net.layers
+    (got,) = back.summary.net.layers
+    assert got.activation == IDENTITY and got.weight.shape == (5, 2)
+    assert np.array_equal(got.weight, want.weight)
+    assert np.array_equal(got.bias, want.bias)
     assert len(back.nets) == 2
     for a, b in zip(ckpt.nets, back.nets):
         assert type(b.phi) is CosineEmbedding
@@ -145,7 +151,7 @@ def test_loaded_model_predicts_identically(tmp_path):
     assert np.array_equal(got, want)
 
 
-def test_network_summary_round_trip(tmp_path):
+def _network_checkpoint():
     rng = RngStream(6)
     summary = SummaryMap(
         kind="network",
@@ -156,9 +162,31 @@ def test_network_summary_round_trip(tmp_path):
         output_mean=np.array([0.5, -0.5]),
         output_sd=np.array([2.0, 3.0]),
     )
-    ckpt = Checkpoint(
+    return Checkpoint(
         summary=summary, nets=[_make_net(rng.child("n"), cond_dim=2)], table_seed=1
     )
+
+
+@pytest.mark.parametrize(
+    "make, digest",
+    [(_linear_checkpoint,
+      "d07c12cea8830e774acca35ce4d6c566dfe8893483e3ddfa3ceea62831086e88"),
+     (_network_checkpoint,
+      "303defde3e3cef6cbfede0816ac87290b1c61aaf84eceb1df76676a80be79854")],
+    ids=["linear", "network"],
+)
+def test_checkpoint_bytes_are_pinned(tmp_path, make, digest):
+    """Pinned bytes of a checkpoint with each summary kind. A linear
+    summary is a one-layer net in memory; on disk its block is that layer's
+    weight transposed, then its bias, in the documented layout."""
+    path = tmp_path / "pinned.gbcq"
+    save_checkpoint(path, make())
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_network_summary_round_trip(tmp_path):
+    ckpt = _network_checkpoint()
+    summary = ckpt.summary
     path = tmp_path / "net-summary.gbcq"
     save_checkpoint(path, ckpt)
     back = load_checkpoint(path)
@@ -188,12 +216,15 @@ def test_network_summary_statistics_must_fit_its_net(tmp_path):
 
 
 def test_checkpoint_without_quantile_nets_is_data_error(tmp_path):
-    """The writer still encodes a net count of zero; the loader refuses it,
-    naming the file, because such a checkpoint holds no posterior."""
+    """Such a checkpoint holds no posterior: the writer refuses to make one,
+    and the loader refuses one made by hand, naming the file."""
     ckpt = _linear_checkpoint()
     ckpt.nets = []
     path = tmp_path / "summary-only.gbcq"
-    save_checkpoint(path, ckpt)
+    with pytest.raises(ValueError, match="at least one quantile net"):
+        save_checkpoint(path, ckpt)
+    assert not path.exists()
+    write_netless_checkpoint(path, ckpt.summary, ckpt.table_seed)
     with pytest.raises(DataError, match="no quantile nets") as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)

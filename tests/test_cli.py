@@ -17,6 +17,7 @@ from gbc.nets import FeedForwardNet
 from gbc.quantile import CosineEmbedding, ImplicitQuantileNet
 from gbc.rng import RngStream
 from gbc.summaries import SummaryMap
+from quantile_helpers import write_netless_checkpoint
 
 SMOKE_CONFIG = """\
 [run]
@@ -257,6 +258,24 @@ def test_table_format_is_rejected_before_a_table_is_built_or_read(
     assert err.startswith("config error") and "[run] table_format" in err
 
 
+def test_gen_table_refuses_a_csv_table_path(smoke, monkeypatch, capsys):
+    """``gen-table`` writes only ``.gbct`` tables; a ``--table`` path that
+    names a CSV file exits 2 before any table is built."""
+    cfg, tmp = smoke
+    table = tmp / "X.csv"
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("built a table for a CSV path")
+
+    monkeypatch.setattr(cli, "build_table", no_table)
+    argv = ["gen-table", "--config", str(cfg), "--out", str(tmp / "out")]
+    assert cli.main(argv + ["--table", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"--table {table}" in err
+    assert "gbct" in err
+    assert not table.exists()
+
+
 def test_old_csv_table_is_data_error(smoke):
     """A table in the CSV layout earlier versions could write is not a
     ``.gbct`` file: ``train`` rejects it by its magic, with no traceback."""
@@ -330,7 +349,7 @@ def test_sample_rejects_zero_net_checkpoint(smoke):
         kind="linear", matrix=np.full((1, 6), 1 / 6), intercept=np.zeros(1)
     )
     path = tmp / "summary.gbcq"
-    save_checkpoint(path, Checkpoint(summary=summary, nets=[], table_seed=5))
+    write_netless_checkpoint(path, summary, table_seed=5)
     y_obs = tmp / "y.csv"
     y_obs.write_text(",".join(["0.0"] * 6) + "\n")
     proc = run_cli(

@@ -72,6 +72,19 @@ def test_only_feed_forward_net_defines_backward():
     assert owners == ["nets.py:FeedForwardNet"]
 
 
+def test_no_module_reads_a_summary_matrix_or_intercept():
+    """A linear summary is a one-layer identity net: ``matrix`` and
+    ``intercept`` only build it, and no code in the package reads either
+    back as an attribute (``SummaryMap`` does not store them)."""
+    reads = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("matrix", "intercept")
+    )
+    assert not reads, f"reads of .matrix or .intercept: {reads}"
+
+
 def _bound_imports(tree):
     """(bound name, line) of every import in a module but ``__future__``."""
     for node in ast.walk(tree):

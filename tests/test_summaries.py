@@ -1,5 +1,7 @@
 """Summary-statistic fits: linear least squares and posterior-mean nets."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from gbc.models import (
     ReferenceTable,
     generate_reference_table,
 )
-from gbc.nets import OptimizerSpec
+from gbc.nets import IDENTITY, OptimizerSpec
+from gbc.pipeline import build_table
 from gbc.rng import RngStream
 from gbc.summaries import (
     SummaryMap,
@@ -21,7 +24,9 @@ from gbc.summaries import (
     fit_linear_summary,
     fit_posterior_mean_net,
     holdout_mse,
+    mean_summary,
 )
+from oracles import linear_summary
 from quantile_helpers import huge_targets
 from training_reference import reference_train_minibatch
 
@@ -35,6 +40,14 @@ def _table_from_arrays(thetas, ys, seed=0):
     )
 
 
+def _coefficients(fit):
+    """(B, intercept) of a linear summary, read from its one identity layer."""
+    (layer,) = fit.net.layers
+    assert layer.activation == IDENTITY
+    assert fit.input_mean is None and fit.output_mean is None
+    return layer.weight.T, layer.bias
+
+
 def test_linear_summary_inverts_exact_linear_map():
     # ys = thetas @ A.T with A invertible and no noise: least squares must
     # recover B = A^{-1} and a zero intercept (ridge 1e-8 is negligible
@@ -44,8 +57,9 @@ def test_linear_summary_inverts_exact_linear_map():
     thetas = gen.normal(size=(2000, 3))
     table = _table_from_arrays(thetas, thetas @ A.T)
     fit = fit_linear_summary(table)
-    assert np.allclose(fit.matrix, np.linalg.inv(A), atol=1e-6)
-    assert np.allclose(fit.intercept, 0.0, atol=1e-6)
+    matrix, intercept = _coefficients(fit)
+    assert np.allclose(matrix, np.linalg.inv(A), atol=1e-6)
+    assert np.allclose(intercept, 0.0, atol=1e-6)
     # and the fitted map reproduces theta from y
     pred = apply_summary(fit, table.ys)
     assert np.allclose(pred, thetas, atol=1e-6)
@@ -56,7 +70,7 @@ def test_linear_summary_identity_map():
     thetas = gen.normal(size=(500, 2))
     table = _table_from_arrays(thetas, thetas.copy())
     fit = fit_linear_summary(table)
-    assert np.allclose(fit.matrix, np.eye(2), atol=1e-6)
+    assert np.allclose(_coefficients(fit)[0], np.eye(2), atol=1e-6)
 
 
 def test_linear_summary_recovers_index_direction():
@@ -70,7 +84,7 @@ def test_linear_summary_recovers_index_direction():
     ys = gen.normal(size=(50_000, n))
     thetas = np.tanh(ys @ w)[:, None] + 0.1 * gen.normal(size=(50_000, 1))
     fit = fit_linear_summary(_table_from_arrays(thetas, ys))
-    b = fit.matrix[0]
+    b = _coefficients(fit)[0][0]
     cosine = abs(b @ w) / np.linalg.norm(b)
     assert cosine > 0.95
 
@@ -84,7 +98,7 @@ def test_linear_summary_null_coefficients_near_zero():
     ys = gen.normal(size=(N, n))
     fit = fit_linear_summary(_table_from_arrays(thetas, ys))
     se = 1.0 / np.sqrt(N)
-    assert np.all(np.abs(fit.matrix) < 4.0 * se)
+    assert np.all(np.abs(_coefficients(fit)[0]) < 4.0 * se)
 
 
 def test_linear_summary_tracks_sample_mean():
@@ -108,10 +122,12 @@ def test_linear_summary_row_order_invariant():
     table = generate_reference_table(prior, sim, 400, RngStream(14))
     perm = RngStream(15).generator.permutation(400)
     shuffled = _table_from_arrays(table.thetas[perm], table.ys[perm])
-    a = fit_linear_summary(table)
-    b = fit_linear_summary(shuffled)
-    assert np.allclose(a.matrix, b.matrix, atol=1e-8)
-    assert np.allclose(a.intercept, b.intercept, atol=1e-8)
+    (a_matrix, a_intercept), (b_matrix, b_intercept) = (
+        _coefficients(fit_linear_summary(table)),
+        _coefficients(fit_linear_summary(shuffled)),
+    )
+    assert np.allclose(a_matrix, b_matrix, atol=1e-8)
+    assert np.allclose(a_intercept, b_intercept, atol=1e-8)
 
 
 def test_empty_table_rejected_by_both_fits():
@@ -206,6 +222,34 @@ def test_apply_summary_checks_dimension_and_handles_vectors():
     assert np.allclose(batch[:, 0], [4.0, 1.0])
     with pytest.raises(ValueError, match="dimension"):
         apply_summary(fit, np.zeros(3))
+
+
+def test_linear_summary_is_bit_equal_to_its_formula():
+    """A linear summary evaluates as one identity layer, with the bits of
+    ``y' @ B.T + intercept``: the fitted normal.ini map on every row of its
+    10,000 x 100 table and on one row, the ABC mean summary, and a 6 x 56
+    log1p map on count rows."""
+    cfg = RunConfig.from_file(Path(__file__).parents[1] / "configs" / "normal.ini")
+    table = build_table(cfg, cfg.get_int("run", "seed"), threads=1)
+    fit = fit_linear_summary(table)
+    matrix, intercept = _coefficients(fit)
+    assert matrix.shape == (1, 100)
+    for y in (table.ys, table.ys[1234]):
+        want = linear_summary(matrix, intercept, y)
+        assert apply_summary(fit, y).tobytes() == want.tobytes()
+    mean = mean_summary(100)
+    want = linear_summary(np.full((1, 100), 0.01), np.zeros(1), table.ys)
+    assert apply_summary(mean, table.ys).tobytes() == want.tobytes()
+
+    gen = RngStream(27).generator
+    counts = np.cumsum(gen.integers(0, 500, size=(4850, 56)), axis=1).astype(np.float64)
+    matrix, intercept = gen.normal(size=(6, 56)), gen.normal(size=6)
+    counted = SummaryMap(
+        kind="linear", log1p_inputs=True, matrix=matrix, intercept=intercept
+    )
+    for y in (counts, counts[0]):
+        want = linear_summary(matrix, intercept, y, log1p_inputs=True)
+        assert apply_summary(counted, y).tobytes() == want.tobytes()
 
 
 def test_summary_map_rejects_unknown_kind():
